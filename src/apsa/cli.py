@@ -19,7 +19,7 @@ from .christoffel import (
     christoffel_word,
     factorization_index,
 )
-from .core import APPerm, ap_detect, ap_materialize
+from .core import APPerm, ap_detect
 from .enumeration import enumerate_strings
 from .errors import CorpusFormatError, NotCoprimeError
 from .lyndonlab import (
@@ -29,8 +29,8 @@ from .lyndonlab import (
     is_balanced,
     is_lyndon,
 )
-from .synthesis import SynthCase, classify, synth
-from .textindex import compact_runs, rotate_runs, suffix_array
+from .synthesis import classify, synth, synth_general
+from .textindex import bwt_runs, compact_runs, suffix_array
 
 __all__ = ["main"]
 
@@ -39,21 +39,11 @@ def _perm_from_args(args) -> APPerm:
     return APPerm(args.n, args.k, args.p1)
 
 
-def _predicted_runs(perm: APPerm, sizes: Sequence[int]) -> str:
-    sorted_runs = tuple(
-        (chr(96 + rank), size) for rank, size in enumerate(sizes, start=1) if size > 0
-    )
-    t = perm.n - perm.k_inverse if perm.n > 1 else 0
-    return compact_runs(rotate_runs(sorted_runs, t % perm.n))
-
-
 def _cmd_synth(args) -> int:
     perm = _perm_from_args(args)
     if args.sigma is None and not args.splits:
         result = synth(perm)
     else:
-        from .synthesis import synth_general
-
         sigma = args.sigma if args.sigma is not None else classify(perm)[1]
         values = [int(v) for v in args.splits.split(",")] if args.splits else []
         result = synth_general(perm, sigma, values)
@@ -63,7 +53,7 @@ def _cmd_synth(args) -> int:
     parts.append(f"p_s={result.p_s}")
     if result.predicted_period is not None:
         parts.append(f"period={result.predicted_period}")
-    parts.append(f"bwt={_predicted_runs(perm, result.split.sizes(perm.n))}")
+    parts.append(f"bwt={compact_runs(bwt_runs(perm, result.split.boundaries))}")
     print(" ".join(parts))
     return 0
 

@@ -18,12 +18,15 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .errors import NotCoprimeError
 
 __all__ = [
     "APPerm",
     "canonical_residue",
     "mod_inverse",
+    "ap_array",
     "ap_materialize",
     "ap_detect",
     "ap_inverse",
@@ -93,13 +96,30 @@ class APPerm:
         return self.n == 1 or (self.p1 == self.n and self.k == self.n - 1)
 
 
+def ap_array(perm: APPerm) -> np.ndarray:
+    """The permutation as an int64 vector, entry i being (p1 - 1 + i*k) mod n + 1.
+
+    Raises ValueError, before allocating anything, when (n - 1)*k + p1 does not
+    fit in int64, since the products would wrap silently.  Applied to
+    :func:`ap_inverse` of a permutation it yields the inverse suffix array.
+    """
+    n, k = perm.n, perm.k
+    if (n - 1) * k + perm.p1 > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"progression n={n}, ratio {k}, first entry {perm.p1}"
+            " overflows int64 arithmetic"
+        )
+    out = np.arange(n, dtype=np.int64)
+    out *= k
+    out += perm.p1 - 1
+    out %= n
+    out += 1
+    return out
+
+
 def ap_materialize(perm: APPerm) -> list[int]:
     """Expand the descriptor into the full permutation array."""
-    n, k = perm.n, perm.k
-    out = [perm.p1]
-    for _ in range(n - 1):
-        out.append(canonical_residue(out[-1] + k, n))
-    return out
+    return ap_array(perm).tolist()
 
 
 def ap_detect(values: Iterable[int]) -> Optional[APPerm]:

@@ -3,7 +3,10 @@
 A corpus entry is a text file plus the suffix array it must produce.  Both
 are generated directly from the progression parameters in O(n), with no
 suffix sorting, so entries of tens of millions of characters are cheap to
-produce and their index shape is known exactly:
+produce and their index shape is known exactly.  The closed forms are not
+restated here: the suffix array is :func:`apsa.core.ap_array`, the text is
+the canonical synthesized text from :mod:`apsa.synthesis`, and the BWT
+profile is :func:`apsa.textindex.bwt_runs`.  The files are:
 
 * text file: raw bytes, characters 'a'..'z' by rank;
 * suffix-array file: little-endian unsigned 64-bit integers, 1-based values,
@@ -30,15 +33,10 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import APPerm, ap_position_of, canonical_residue
+from .core import APPerm, ap_array
 from .errors import CorpusFormatError
-from .synthesis import SynthCase, classify
-from .textindex import (
-    compact_runs,
-    expand_runs,
-    parse_compact_runs,
-    rotate_runs,
-)
+from .synthesis import _split_boundaries, _text_codes, required_splits
+from .textindex import bwt_runs, compact_runs, expand_runs, parse_compact_runs
 
 __all__ = [
     "CorpusEntry",
@@ -142,71 +140,19 @@ def pick_parameters(n: int, case: str, seed) -> APPerm:
     return APPerm(n, k, p1)
 
 
-def _isa_vector(perm: APPerm) -> np.ndarray:
-    """Ranks of all suffixes in closed form: (i - last) * k_inverse mod n, 1-based."""
-    n = perm.n
-    kinv = perm.k_inverse
-    isa = ((np.arange(1, n + 1, dtype=np.int64) - perm.last) * kinv) % n
-    isa[isa == 0] = n
-    return isa
-
-
 def entry_text_bytes(perm: APPerm) -> bytes:
     """The canonical synthesized text as raw bytes, built without suffix sorting."""
-    case, _ = classify(perm)
-    n = perm.n
-    if case is SynthCase.UNARY:
-        return b"a" * n
-    isa = _isa_vector(perm)
-    kinv = perm.k_inverse
-    if case is SynthCase.TERNARY:
-        b1, b2 = synth_ternary_boundaries(perm)
-        ranks = 1 + (isa > b1).astype(np.uint8) + (isa > b2).astype(np.uint8)
-        return (ranks + 96).tobytes()
-    if case is SynthCase.BINARY2:
-        s = canonical_residue(n - 1 - kinv, n)
-    else:
-        s = canonical_residue(n - kinv, n)
-    return np.where(isa <= s, np.uint8(ord("a")), np.uint8(ord("b"))).tobytes()
-
-
-def synth_ternary_boundaries(perm: APPerm) -> tuple[int, int]:
-    """Index-space split boundaries of the three-way construction, O(1)."""
-    n, k, p1 = perm.n, perm.k, perm.p1
-    values = {n - k, canonical_residue(p1 - k - 1, n)}
-    idx = sorted(i for i in (ap_position_of(perm, v) for v in values) if i != n)
-    if len(idx) == 1:
-        idx.append(n)
-    return idx[0], idx[1]
+    return _text_codes(perm, _split_boundaries(perm, required_splits(perm))).tobytes()
 
 
 def entry_sa_array(perm: APPerm) -> np.ndarray:
     """The materialized progression as little-endian u64, ready to write."""
-    n = perm.n
-    arr = (np.int64(perm.p1 - 1) + np.arange(n, dtype=np.int64) * perm.k) % n + 1
-    return arr.astype("<u8")
+    return ap_array(perm).astype("<u8")
 
 
 def predicted_bwt_runs(perm: APPerm) -> tuple[tuple[str, int], ...]:
     """Run-length form of the BWT of the canonical text, computed on runs only."""
-    case, _ = classify(perm)
-    n = perm.n
-    if case is SynthCase.UNARY:
-        return (("a", n),)
-    kinv = perm.k_inverse
-    if case is SynthCase.TERNARY:
-        b1, b2 = synth_ternary_boundaries(perm)
-        sorted_runs = tuple(
-            r for r in (("a", b1), ("b", b2 - b1), ("c", n - b2)) if r[1] > 0
-        )
-    else:
-        if case is SynthCase.BINARY2:
-            s = canonical_residue(n - 1 - kinv, n)
-        else:
-            s = canonical_residue(n - kinv, n)
-        sorted_runs = (("a", s), ("b", n - s))
-    t = canonical_residue(n - kinv, n)
-    return rotate_runs(sorted_runs, t)
+    return bwt_runs(perm, _split_boundaries(perm, required_splits(perm)))
 
 
 def _manifest_line(entry: CorpusEntry) -> str:

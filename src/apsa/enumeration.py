@@ -24,9 +24,9 @@ from itertools import combinations_with_replacement, product
 from math import comb
 from typing import Iterator, Optional
 
-from .core import APPerm, ap_materialize, ap_position_of
+from .core import APPerm, ap_materialize
 from .errors import AlphabetTooSmallError, SearchSpaceTooLargeError
-from .synthesis import classify, render_ranks, required_splits
+from .synthesis import _split_boundaries, classify, render_ranks, required_splits
 from .textindex import suffix_array
 
 __all__ = [
@@ -73,7 +73,7 @@ def count_bounds(n: int, sigma: int, sigma_min_: int) -> CountReport:
 def _compositions(perm: APPerm, sigma: int) -> Iterator[tuple[int, ...]]:
     """Cumulative boundary multisets over [0..n] containing the required splits."""
     n = perm.n
-    required = sorted(ap_position_of(perm, v) for v in required_splits(perm))
+    required = _split_boundaries(perm, required_splits(perm))
     for cum in combinations_with_replacement(range(n + 1), sigma - 1):
         cum_set = set(cum)
         if all(r in cum_set for r in required):

@@ -12,8 +12,13 @@ is what makes one, two, or three characters necessary:
 * anything else: three characters are necessary and the string is unique.
 
 Split positions are handled in two coordinate systems: "after the entry with
-value v" (value space) and "after index i of P" (index space).  Conversion
-between them goes through :func:`apsa.core.ap_position_of`.
+value v" (value space) and "after index i of P" (index space).  Each closed
+form has one home here: :func:`required_splits` gives the forced split
+values, :func:`_split_boundaries` is the only conversion from value space to
+index space, and :func:`_text_codes` is the only text builder, reading each
+character's rank off the inverse suffix array (:func:`apsa.core.ap_array` of
+:func:`apsa.core.ap_inverse`).  :func:`binary_closed_form` re-derives the
+binary strings independently for cross-checking.
 """
 
 from __future__ import annotations
@@ -21,9 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import APPerm, ap_materialize, ap_position_of, canonical_residue
+import numpy as np
+
+from .core import APPerm, ap_array, ap_inverse, ap_position_of, canonical_residue
 from .errors import (
     AlphabetTooSmallError,
     InvalidSplitError,
@@ -66,10 +73,6 @@ class SplitSpec:
     boundaries: tuple[int, ...]
     labels: tuple[int, ...]
 
-    def sizes(self, n: int) -> tuple[int, ...]:
-        edges = (0,) + self.boundaries + (n,)
-        return tuple(b - a for a, b in zip(edges, edges[1:]))
-
 
 @dataclass(frozen=True)
 class SynthResult:
@@ -111,34 +114,53 @@ def required_splits(perm: APPerm) -> frozenset[int]:
 
 
 def render_ranks(ranks: Iterable[int]) -> str:
-    """Render a rank sequence as text: 'a', 'b', ... for ranks up to 26.
+    """Render a rank sequence as text: rank r becomes chr(96 + r), 'a' for 1.
 
-    Larger ranks fall back to dot-separated decimal tokens; the results are
-    order-theoretic either way.
+    The map is strictly increasing, so the text orders its suffixes exactly
+    as the rank sequence does, for any number of ranks.
     """
-    ranks = list(ranks)
-    if all(r <= 26 for r in ranks):
-        return "".join(chr(96 + r) for r in ranks)
-    return ".".join(str(r) for r in ranks)
+    return "".join(chr(96 + r) for r in ranks)
 
 
-def _assemble(perm: APPerm, boundaries: tuple[int, ...], labels: tuple[int, ...]) -> str:
-    """Text with rank labels[j] at the positions stored in the j-th subarray of P."""
-    p = ap_materialize(perm)
-    ranks = [0] * perm.n
-    edges = (0,) + boundaries + (perm.n,)
-    for j, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        label = labels[j]
-        for i in range(lo, hi):
-            ranks[p[i] - 1] = label
-    return render_ranks(ranks)
-
-
-def _split_boundaries(perm: APPerm, values: Iterable[int]) -> list[int]:
+def _split_boundaries(perm: APPerm, values: Iterable[int]) -> tuple[int, ...]:
     """Index-space boundaries for value-space splits, dropping a split after the end."""
     idx = {ap_position_of(perm, v) for v in values}
     idx.discard(perm.n)
-    return sorted(idx)
+    return tuple(sorted(idx))
+
+
+def _text_codes(perm: APPerm, boundaries: Sequence[int]) -> np.ndarray:
+    """Character codes 96 + rank of the text split at the given boundaries of P.
+
+    Position i takes rank 1 + #{b in boundaries : isa[i] > b}, where isa is
+    the inverse of P.  The codes stay one byte each while the ranks fit.
+    """
+    dtype = np.uint8 if 97 + len(boundaries) <= 0xFF else np.uint32
+    isa = ap_array(ap_inverse(perm)) if boundaries else None
+    codes = np.full(perm.n, 97, dtype=dtype)
+    for b in boundaries:
+        codes += isa > b
+    return codes
+
+
+def _result(
+    perm: APPerm,
+    case: SynthCase,
+    boundaries: tuple[int, ...],
+    s: Optional[int] = None,
+    period: Optional[int] = None,
+) -> SynthResult:
+    """The text split at `boundaries` with consecutive ranks, plus its p_s.
+
+    p_s is the entry of P at the first boundary, or its final entry when
+    there is no boundary.
+    """
+    codes = _text_codes(perm, boundaries)
+    text = codes.tobytes().decode("latin-1" if codes.itemsize == 1 else "utf-32-le")
+    labels = tuple(range(1, len(boundaries) + 2))
+    b0 = boundaries[0] if boundaries else perm.n
+    p_s = canonical_residue(perm.p1 + (b0 - 1) * perm.k, perm.n)
+    return SynthResult(text, case, SplitSpec(boundaries, labels), s, p_s, period)
 
 
 def synth_ternary(perm: APPerm) -> SynthResult:
@@ -153,31 +175,19 @@ def synth_ternary(perm: APPerm) -> SynthResult:
             "the reversal permutation is covered by the unary family"
         )
     n, k, p1 = perm.n, perm.k, perm.p1
-    boundaries = tuple(
-        _split_boundaries(perm, {n - k, canonical_residue(p1 - k - 1, n)})
-    )
-    labels = tuple(range(1, len(boundaries) + 2))
-    text = _assemble(perm, boundaries, labels)
+    boundaries = _split_boundaries(perm, {n - k, canonical_residue(p1 - k - 1, n)})
     case, _ = classify(perm)
     s = boundaries[0] if case in (SynthCase.BINARY1, SynthCase.BINARY3) else None
-    p_s = ap_materialize(perm)[boundaries[0] - 1]
     period = n - k if case is SynthCase.BINARY1 else None
-    return SynthResult(text, case, SplitSpec(boundaries, labels), s, p_s, period)
-
-
-_BINARY_SPLIT_VALUE = {
-    SynthCase.BINARY1: lambda n, k: n - k - 1,
-    SynthCase.BINARY2: lambda n, k: n - k,
-    SynthCase.BINARY3: lambda n, k: n - k,
-}
+    return _result(perm, case, boundaries, s, period)
 
 
 def synth_binary(perm: APPerm) -> SynthResult:
     """The unique binary string with suffix array P, for p1 in {n, k+1, 1}.
 
-    The first s entries of P (everything up to the case's split value) take
-    'a', the rest 'b'.  Cases p1 = n and p1 = k+1 yield strings with period
-    n - k; case p1 = 1 yields a Lyndon word.
+    The first s entries of P (everything up to the one required split value)
+    take 'a', the rest 'b'.  Cases p1 = n and p1 = k+1 yield strings with
+    period n - k; case p1 = 1 yields a Lyndon word.
     """
     case, _ = classify(perm)
     if case is SynthCase.UNARY:
@@ -189,15 +199,9 @@ def synth_binary(perm: APPerm) -> SynthResult:
             f"first entry {perm.p1} not in {{1, {perm.k + 1}, {perm.n}}};"
             " no binary string has this suffix array"
         )
-    n, k = perm.n, perm.k
-    split_value = _BINARY_SPLIT_VALUE[case](n, k)
-    boundary = ap_position_of(perm, split_value)
-    boundaries = (boundary,)
-    text = _assemble(perm, boundaries, (1, 2))
-    period = n - k if case in (SynthCase.BINARY1, SynthCase.BINARY2) else None
-    return SynthResult(
-        text, case, SplitSpec(boundaries, (1, 2)), boundary, split_value, period
-    )
+    boundaries = _split_boundaries(perm, required_splits(perm))
+    period = perm.n - perm.k if case in (SynthCase.BINARY1, SynthCase.BINARY2) else None
+    return _result(perm, case, boundaries, boundaries[0], period)
 
 
 def binary_closed_form(perm: APPerm) -> str:
@@ -243,10 +247,8 @@ def synth(perm: APPerm) -> SynthResult:
     """Canonical minimal-alphabet string for P, dispatching on the case."""
     case, _ = classify(perm)
     if case is SynthCase.UNARY:
-        n = perm.n
-        split = SplitSpec((), (1,))
-        period = n - perm.k if perm.n > 1 else None
-        return SynthResult("a" * n, case, split, None, 1, period)
+        period = perm.n - perm.k if perm.n > 1 else None
+        return _result(perm, case, (), period=period)
     if case is SynthCase.TERNARY:
         return synth_ternary(perm)
     return synth_binary(perm)
@@ -269,7 +271,6 @@ def synth_general(
             f"alphabet size {sigma} below the required minimum {sigma_min}"
         )
     required_values = required_splits(perm)
-    required_idx = set(_split_boundaries(perm, required_values))
     free = list(split_after_values)
     if len(set(free)) != len(free):
         raise InvalidSplitError("duplicate split values")
@@ -278,21 +279,11 @@ def synth_general(
             f"{len(free)} free splits need an alphabet of at least"
             f" {sigma_min + len(free)} characters"
         )
-    free_idx = set()
     for v in free:
         if v in required_values:
             raise InvalidSplitError(f"split after value {v} is already required")
-        i = ap_position_of(perm, v)
-        if i == perm.n:
+        if v == perm.last:
             raise InvalidSplitError(
                 f"value {v} is the final entry; splitting after it has no effect"
             )
-        free_idx.add(i)
-    boundaries = tuple(sorted(required_idx | free_idx))
-    labels = tuple(range(1, len(boundaries) + 2))
-    text = _assemble(perm, boundaries, labels)
-    if case is SynthCase.UNARY:
-        p_s = 1
-    else:
-        p_s = ap_materialize(perm)[boundaries[0] - 1] if boundaries else 1
-    return SynthResult(text, case, SplitSpec(boundaries, labels), None, p_s, None)
+    return _result(perm, case, _split_boundaries(perm, required_values.union(free)))

@@ -12,6 +12,11 @@ Conventions, fixed package-wide:
   The two definitions coincide on Lyndon words and on the split-construction
   strings of :mod:`apsa.synthesis`, but not in general.
 
+The closed-form BWT has one home, :func:`bwt_runs`: a text whose suffix array
+is the progression (n, k, p1) lists its characters in sorted order along
+that suffix array, and its BWT is that sorted string rotated left by n
+minus the inverse ratio.
+
 The suffix-array oracle is prefix doubling, O(n log n); a vectorized variant
 takes over for long texts.  Linear-time construction is out of scope here on
 purpose: these are desk-scale reference oracles.
@@ -20,14 +25,14 @@ purpose: these are desk-scale reference oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, pairwise
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .core import APPerm, canonical_residue
 from .errors import UnsupportedCaseError
-from .synthesis import SynthCase, classify, synth_ternary
+from .synthesis import _split_boundaries, required_splits, synth_ternary
 
 __all__ = [
     "SuffixArrayView",
@@ -38,6 +43,7 @@ __all__ = [
     "bwt_from_matrix",
     "bwt_predict",
     "bwt_predict_ternary",
+    "bwt_runs",
     "run_count",
     "bwt_definitions_agree",
     "runs_of",
@@ -242,41 +248,33 @@ def bwt_from_matrix(text: str) -> BwtProfile:
     return BwtProfile(chars, "matrix-based")
 
 
-def _bwt_rotation_parameter(perm: APPerm) -> int:
-    """Left-rotation amount turning sorted text characters into the BWT.
+def bwt_runs(
+    perm: APPerm, boundaries: Sequence[int]
+) -> tuple[tuple[str, int], ...]:
+    """Run-length BWT of the text that splits P at the index-space boundaries.
 
-    For any text whose suffix array is the materialized permutation, the BWT
-    is the t-th rotation of the text's characters read in suffix-array order
-    (which are sorted ascending), with t = n - k_inverse mod n.
+    The j-th subarray of P holds the positions of rank j, character
+    chr(96 + j); listed in suffix-array order those characters are sorted,
+    and rotating them left by n - k_inverse gives the BWT.
     """
-    return canonical_residue(perm.n - perm.k_inverse, perm.n)
-
-
-def _predict_from_runs(
-    perm: APPerm, sorted_runs: Sequence[tuple[str, int]]
-) -> BwtProfile:
-    runs = rotate_runs(sorted_runs, _bwt_rotation_parameter(perm))
-    return BwtProfile(expand_runs(runs), "predicted", runs)
+    edges = (0, *boundaries, perm.n)
+    sorted_runs = tuple(
+        (chr(96 + rank), hi - lo)
+        for rank, (lo, hi) in enumerate(pairwise(edges), start=1)
+        if hi > lo
+    )
+    return rotate_runs(sorted_runs, perm.n - perm.k_inverse)
 
 
 def bwt_predict(perm: APPerm) -> BwtProfile:
     """Predicted BWT of the canonical synthesized string, no suffix sort involved.
 
-    The synthesized character multiset is known from the case split sizes;
-    rotating it by n - k_inverse gives the BWT.
+    The canonical string splits P at the required splits only.
     """
-    case, _ = classify(perm)
-    if case is SynthCase.UNARY:
+    if perm.is_reversal:
         raise UnsupportedCaseError("the unary family has the all-equal BWT; nothing to predict")
-    n = perm.n
-    if case is SynthCase.TERNARY:
-        return bwt_predict_ternary(perm)
-    kinv = perm.k_inverse
-    if case is SynthCase.BINARY2:
-        s = canonical_residue(n - 1 - kinv, n)
-    else:
-        s = canonical_residue(n - kinv, n)
-    return _predict_from_runs(perm, (("a", s), ("b", n - s)))
+    runs = bwt_runs(perm, _split_boundaries(perm, required_splits(perm)))
+    return BwtProfile(expand_runs(runs), "predicted", runs)
 
 
 def bwt_predict_ternary(perm: APPerm) -> BwtProfile:
@@ -286,13 +284,8 @@ def bwt_predict_ternary(perm: APPerm) -> BwtProfile:
     split construction keeps a third character for the final position while
     the canonical binary string merges it away.
     """
-    result = synth_ternary(perm)
-    sizes = result.split.sizes(perm.n)
-    alphabet = "abc"
-    sorted_runs = tuple(
-        (alphabet[j], size) for j, size in enumerate(sizes) if size > 0
-    )
-    return _predict_from_runs(perm, sorted_runs)
+    runs = bwt_runs(perm, synth_ternary(perm).split.boundaries)
+    return BwtProfile(expand_runs(runs), "predicted", runs)
 
 
 def run_count(profile: BwtProfile) -> int:

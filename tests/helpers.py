@@ -1,8 +1,13 @@
 """Shared test utilities: independent oracles and exhaustive generators."""
 
+import os
+import resource
+import subprocess
+import sys
 from itertools import product
 from math import gcd
 
+import apsa
 from apsa.core import APPerm, ap_detect
 
 
@@ -52,3 +57,26 @@ def ap_census(n, sigma):
         if perm is not None:
             buckets.setdefault(perm, set()).add(text)
     return buckets
+
+
+def run_capped(code):
+    """Run Python `code` in a child process capped at 1 GiB of address space.
+
+    A call that tries to allocate an n-sized array at n ~ 4e9 fails inside
+    the child instead of exhausting the machine's memory.  Returns the
+    completed process with text stdout and stderr.
+    """
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(apsa.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        preexec_fn=cap,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )

@@ -144,3 +144,31 @@ def test_unknown_case_is_parameter_error(tmp_path, capsys):
         "--sizes", "8", "--cases", "nope", "--seed", "1",
     )
     assert code == 2
+
+
+def test_synth_above_26_ranks(capsys):
+    from apsa.core import APPerm, ap_materialize
+    from apsa.textindex import suffix_array
+
+    # Ternary (40, 3, 5): required splits after 1 and 37, final entry 2.
+    splits = ",".join(str(v) for v in range(3, 30))
+    code, out, _ = run(
+        capsys, "synth", "-n", "40", "-k", "3", "--p1", "5", "--sigma", "30",
+        "--splits", splits,
+    )
+    assert code == 0
+    text = fields(out.strip())["text"]
+    assert len(text) == 40
+    assert suffix_array(text).sa == tuple(ap_materialize(APPerm(40, 3, 5)))
+
+
+def test_synth_int64_overflow_exits_2():
+    from helpers import run_capped
+
+    proc = run_capped(
+        "import sys\n"
+        "from apsa.cli import main\n"
+        "sys.exit(main(['synth', '-n', '4000000007', '-k', '4000000004', '--p1', '1']))\n"
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "overflows int64" in proc.stderr

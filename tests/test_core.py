@@ -164,3 +164,21 @@ def test_ap_position_of():
         p = ap_materialize(perm)
         for i, v in enumerate(p, start=1):
             assert ap_position_of(perm, v) == i
+
+
+def test_ap_array_refuses_int64_overflow_before_allocating():
+    import tracemalloc
+
+    from apsa.core import ap_array
+
+    # Both k and k^{-1} = 2666666671 push (n - 1) * ratio past 2**63 - 1.
+    perm = APPerm(4000000007, 4000000004, 1)
+    tracemalloc.start()
+    try:
+        for target in (perm, ap_inverse(perm)):
+            with pytest.raises(ValueError, match="overflows int64"):
+                ap_array(target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -197,3 +197,22 @@ def test_corruption_fuzz(tmp_path):
         assert not res.ok
         assert res.first_bad == i + 1  # 1-based index of the corrupted entry
     pristine.tofile(path)
+
+
+@pytest.mark.parametrize("builder", ["entry_sa_array", "entry_text_bytes"])
+def test_builders_refuse_int64_overflow(builder):
+    from helpers import run_capped
+
+    # (n - 1) * k and (n - 1) * k^{-1} both exceed 2**63 - 1 here, so the
+    # SA (ratio k) and the inverse SA behind the text (ratio k^{-1}) overflow.
+    proc = run_capped(
+        "from apsa.core import APPerm\n"
+        f"from apsa.corpus import {builder}\n"
+        "try:\n"
+        f"    {builder}(APPerm(4000000007, 4000000004, 1))\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ValueError"), proc.stdout
+    assert "overflows int64" in proc.stdout

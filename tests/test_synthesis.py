@@ -246,3 +246,11 @@ def test_synth_general_errors():
         synth_general(perm, 4, [8])  # final entry of P
     with pytest.raises(InvalidSplitError):
         synth_general(APPerm(8, 5, 5), 5, [1, 1])
+
+
+def test_synth_general_above_26_ranks():
+    perm = APPerm(40, 3, 5)
+    result = synth_general(perm, 30, range(3, 30))
+    assert len(result.text) == 40
+    assert len(set(result.text)) == 30
+    assert suffix_array(result.text).sa == tuple(ap_materialize(perm))
