@@ -77,7 +77,7 @@ def _cmd_classify(args) -> int:
     if not text:
         print("error: empty text", file=sys.stderr)
         return 2
-    perm = ap_detect(list(suffix_array(text).sa))
+    perm = ap_detect(suffix_array(text).sa)
     if perm is None:
         print("ap=false")
         return 0

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import pairwise
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -125,30 +124,37 @@ def ap_materialize(perm: APPerm) -> list[int]:
 def ap_detect(values: Iterable[int]) -> Optional[APPerm]:
     """Recognize an arithmetically progressed permutation, if the array is one.
 
-    Returns the (n, k, p1) descriptor, or None for anything else: arrays that
-    are not permutations of [1..n], or permutations whose successive
-    differences are not constant modulo n.  Checking the n-1 adjacent
-    differences suffices because the cyclic wrap difference is forced (the n
-    cyclic differences sum to 0 modulo n).
+    Accepts any sequence, iterable or array of integers, Python or numpy.
+    Returns the (n, k, p1) descriptor, or None for anything else: bools,
+    floats and other non-integers, arrays that are not permutations of
+    [1..n], or permutations whose successive differences are not constant
+    modulo n.  Checking the n-1 adjacent differences suffices because the
+    cyclic wrap difference is forced (the n cyclic differences sum to 0
+    modulo n).
     """
-    seq = list(values)
-    n = len(seq)
-    if n == 0:
-        return None
-    seen = bytearray(n)
-    for v in seq:
-        if not isinstance(v, int) or not 1 <= v <= n or seen[v - 1]:
+    if not isinstance(values, np.ndarray):
+        if not isinstance(values, Sequence):
+            values = list(values)
+        # numpy would turn bools mixed with ints into ints
+        if not {bool, np.bool_}.isdisjoint(map(type, values)):
             return None
-        seen[v - 1] = 1
+    seq = np.asarray(values)
+    n = seq.size
+    if seq.ndim != 1 or n == 0 or seq.dtype.kind not in "iu":
+        return None
+    if seq.min() < 1 or seq.max() > n:
+        return None
+    seq = seq.astype(np.int64, copy=False)
+    if np.bincount(seq, minlength=n + 1).max() > 1:
+        return None
     if n == 1:
         return APPerm(1, 1, 1)
-    k = (seq[1] - seq[0]) % n
-    if math.gcd(k, n) != 1:
+    steps = np.diff(seq)
+    steps %= n
+    k = int(steps[0])
+    if math.gcd(k, n) != 1 or not (steps == k).all():
         return None
-    for a, b in pairwise(seq):
-        if (b - a) % n != k:
-            return None
-    return APPerm(n, k, seq[0])
+    return APPerm(n, k, int(seq[0]))
 
 
 def ap_inverse(perm: APPerm) -> APPerm:

@@ -26,7 +26,7 @@ from typing import Iterator, Optional
 
 from .core import APPerm, ap_materialize
 from .errors import AlphabetTooSmallError, SearchSpaceTooLargeError
-from .synthesis import _split_boundaries, classify, render_ranks, required_splits
+from .synthesis import _rank_alphabet, _split_boundaries, classify, required_splits
 from .textindex import suffix_array
 
 __all__ = [
@@ -80,11 +80,11 @@ def _compositions(perm: APPerm, sigma: int) -> Iterator[tuple[int, ...]]:
             yield cum
 
 
-def _string_for(p: list[int], cum: tuple[int, ...]) -> str:
-    ranks = [0] * len(p)
+def _string_for(p: list[int], cum: tuple[int, ...], alphabet: str) -> str:
+    chars = [""] * len(p)
     for i, pos in enumerate(p, start=1):
-        ranks[pos - 1] = bisect_left(cum, i) + 1
-    return render_ranks(ranks)
+        chars[pos - 1] = alphabet[bisect_left(cum, i)]
+    return "".join(chars)
 
 
 def candidate_strings(perm: APPerm, sigma: int) -> Iterator[str]:
@@ -94,8 +94,9 @@ def candidate_strings(perm: APPerm, sigma: int) -> Iterator[str]:
             f"alphabet size {sigma} below the required minimum {sigma_min(perm)}"
         )
     p = ap_materialize(perm)
+    alphabet = _rank_alphabet(sigma)
     for cum in _compositions(perm, sigma):
-        yield _string_for(p, cum)
+        yield _string_for(p, cum, alphabet)
 
 
 def enumerate_strings(perm: APPerm, sigma: int) -> Iterator[str]:
@@ -136,9 +137,8 @@ def brute_force_strings(perm: APPerm, sigma: int) -> set[str]:
             f"sigma**n = {sigma**n} exceeds the brute-force limit {BRUTE_FORCE_LIMIT}"
         )
     target = tuple(ap_materialize(perm))
-    alphabet = [chr(96 + r) for r in range(1, sigma + 1)]
     found = set()
-    for chars in product(alphabet, repeat=n):
+    for chars in product(_rank_alphabet(sigma), repeat=n):
         text = "".join(chars)
         if suffix_array(text).sa == target:
             found.add(text)

@@ -18,6 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 from .core import canonical_residue
 from .errors import WrongParityError
 from .textindex import bwt_from_matrix, suffix_array
@@ -38,6 +41,8 @@ __all__ = [
     "fibonacci_closed_form",
     "fibonacci_swapped",
 ]
+
+_BALANCE_BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -164,18 +169,22 @@ def is_balanced(w: str) -> bool:
     """Cyclic balance check, straight from the definition.
 
     For every window length, the 'a'-counts over all cyclic windows of that
-    length may differ by at most one.  Quadratic on purpose: this is the
-    test oracle.
+    length may differ by at most one.  The work stays quadratic on purpose,
+    since this is the test oracle, but it runs in numpy: one int32 prefix-sum
+    vector over w + w gives every count, and the window lengths are checked
+    in blocks of about 2^20 counts, stopping at the first block that holds
+    an unbalanced length.
     """
     _check_binary(w)
     n = len(w)
-    doubled = w + w
-    prefix = [0]
-    for ch in doubled:
-        prefix.append(prefix[-1] + (ch == "a"))
-    for length in range(1, n + 1):
-        counts = [prefix[i + length] - prefix[i] for i in range(n)]
-        if max(counts) - min(counts) > 1:
+    is_a = np.frombuffer(w.encode("ascii"), dtype=np.uint8) == ord("a")
+    prefix = np.zeros(2 * n + 1, dtype=np.int32)
+    np.cumsum(np.tile(is_a, 2), dtype=np.int32, out=prefix[1:])
+    windows = sliding_window_view(prefix, n)  # row L holds prefix[L : L + n]
+    lengths_per_block = max(1, _BALANCE_BLOCK_CELLS // n)
+    for lo in range(1, n + 1, lengths_per_block):
+        counts = windows[lo : min(lo + lengths_per_block, n + 1)] - prefix[:n]
+        if (np.ptp(counts, axis=1) > 1).any():
             return False
     return True
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, filterfalse, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -52,6 +52,8 @@ __all__ = [
     "synth_general",
     "render_ranks",
 ]
+
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 class SynthCase(Enum):
@@ -113,13 +115,48 @@ def required_splits(perm: APPerm) -> frozenset[int]:
     return frozenset({canonical_residue(p1 - k - 1, n), n - k})
 
 
-def render_ranks(ranks: Iterable[int]) -> str:
-    """Render a rank sequence as text: rank r becomes chr(96 + r), 'a' for 1.
+def _breaks_records(ch: str) -> bool:
+    """True for characters that would break the CLI's key=value records.
 
-    The map is strictly increasing, so the text orders its suffixes exactly
-    as the rank sequence does, for any number of ranks.
+    Whitespace is what str.split() separates on; numerals (isdigit() or
+    isnumeric()) read as counts in compact run encodings; '=', ',', '[' and
+    ']' delimit fields and lists; DEL and the C1 controls drive terminals;
+    surrogates have no UTF-8 encoding.
     """
-    return "".join(chr(96 + r) for r in ranks)
+    return (
+        "\x7f" <= ch <= "\x9f"
+        or "\ud800" <= ch <= "\udfff"
+        or ch.isspace()
+        or ch.isnumeric()
+        or ch in "=,[]"
+    )
+
+
+def _rank_alphabet(sigma: int) -> str:
+    """The characters of ranks 1..sigma, strictly increasing.
+
+    Ranks 1..26 are 'a'..'z'; above that the table continues upward from '{'
+    and skips every character for which :func:`_breaks_records` holds.
+    """
+    if sigma <= 26:
+        return _LETTERS[:sigma]
+    usable = filterfalse(_breaks_records, map(chr, range(ord("z") + 1, 0x110000)))
+    extra = "".join(islice(usable, sigma - 26))
+    if len(extra) < sigma - 26:
+        raise ValueError(f"{sigma} ranks exceed the {26 + len(extra)} characters available")
+    return _LETTERS + extra
+
+
+def render_ranks(ranks: Iterable[int]) -> str:
+    """Render a rank sequence as text: rank r becomes the r-th rank character.
+
+    Ranks 1..26 are 'a'..'z'; higher ranks continue with the characters of
+    :func:`_rank_alphabet`.  The map is strictly increasing, so the text
+    orders its suffixes exactly as the rank sequence does.
+    """
+    ranks = list(ranks)
+    alphabet = _rank_alphabet(max(ranks, default=0))
+    return "".join([alphabet[r - 1] for r in ranks])
 
 
 def _split_boundaries(perm: APPerm, values: Iterable[int]) -> tuple[int, ...]:
@@ -130,17 +167,22 @@ def _split_boundaries(perm: APPerm, values: Iterable[int]) -> tuple[int, ...]:
 
 
 def _text_codes(perm: APPerm, boundaries: Sequence[int]) -> np.ndarray:
-    """Character codes 96 + rank of the text split at the given boundaries of P.
+    """Character codes of the text split at the given boundaries of P.
 
     Position i takes rank 1 + #{b in boundaries : isa[i] > b}, where isa is
-    the inverse of P.  The codes stay one byte each while the ranks fit.
+    the inverse of P.  Up to 26 ranks the codes of 'a'..'z' are accumulated
+    one boundary at a time in one byte each.  Above that each position finds
+    its rank by binary search of the boundaries, O(n log sigma), and reads
+    its code off :func:`_rank_alphabet`.
     """
-    dtype = np.uint8 if 97 + len(boundaries) <= 0xFF else np.uint32
     isa = ap_array(ap_inverse(perm)) if boundaries else None
-    codes = np.full(perm.n, 97, dtype=dtype)
-    for b in boundaries:
-        codes += isa > b
-    return codes
+    if len(boundaries) < 26:
+        codes = np.full(perm.n, ord("a"), dtype=np.uint8)
+        for b in boundaries:
+            codes += isa > b
+        return codes
+    alphabet = _rank_alphabet(len(boundaries) + 1).encode("utf-32-le")
+    return np.frombuffer(alphabet, dtype=np.uint32)[np.searchsorted(boundaries, isa)]
 
 
 def _result(

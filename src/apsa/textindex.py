@@ -17,22 +17,28 @@ is the progression (n, k, p1) lists its characters in sorted order along
 that suffix array, and its BWT is that sorted string rotated left by n
 minus the inverse ratio.
 
-The suffix-array oracle is prefix doubling, O(n log n); a vectorized variant
-takes over for long texts.  Linear-time construction is out of scope here on
-purpose: these are desk-scale reference oracles.
+The suffix-array oracle is prefix doubling, O(n log n): pure Python for
+short texts, a numpy kernel from 2048 characters on.  The kernel's first
+round ranks a packed key, the first c characters in base sigma + 1 with as
+many characters as an int64 holds, so doubling starts at step c instead of
+1.  The same kernel in cyclic mode, where position i + step wraps modulo n,
+sorts the rotations for the matrix BWT in O(n log n) time and O(n) memory.
+Linear-time construction is out of scope here on purpose: these are
+desk-scale reference oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby, pairwise
+from itertools import pairwise
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import APPerm, canonical_residue
+from .core import APPerm
 from .errors import UnsupportedCaseError
-from .synthesis import _split_boundaries, required_splits, synth_ternary
+from .synthesis import _rank_alphabet, _split_boundaries, required_splits, synth_ternary
 
 __all__ = [
     "SuffixArrayView",
@@ -87,9 +93,23 @@ class BwtProfile:
         return NotImplemented
 
 
+def _codes_of(text: str) -> np.ndarray:
+    """The text's code points, one uint32 each."""
+    return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+
+
+def _text_of(codes: np.ndarray) -> str:
+    return codes.tobytes().decode("utf-32-le")
+
+
 def runs_of(chars: str) -> tuple[tuple[str, int], ...]:
     """Run-length encode a string into (character, count) pairs."""
-    return tuple((ch, sum(1 for _ in grp)) for ch, grp in groupby(chars))
+    codes = _codes_of(chars)
+    first = np.ones(codes.size, dtype=bool)
+    first[1:] = codes[1:] != codes[:-1]
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=codes.size)
+    return tuple(zip(_text_of(codes[starts]), counts.tolist()))
 
 
 def expand_runs(runs: Iterable[tuple[str, int]]) -> str:
@@ -174,26 +194,71 @@ def _doubling_small(codes: list[int]) -> list[int]:
     return order
 
 
-def _doubling_numpy(codes: np.ndarray) -> np.ndarray:
-    """Same algorithm as :func:`_doubling_small`, vectorized for long texts."""
+def _int64_width(base: int) -> int:
+    """How many base-`base` digits one int64 key holds."""
+    width = 1
+    while base ** (width + 1) <= 1 << 63:
+        width += 1
+    return width
+
+
+def _extended(values: np.ndarray, count: int, cyclic: bool) -> np.ndarray:
+    """values followed by `count` more entries: its head again if cyclic, else zeros.
+
+    A slice [j : j + n] of the result reads values[i + j] for every i, wrapping
+    modulo n in cyclic mode and 0 past the end otherwise.
+    """
+    tail = values[:count] if cyclic else np.zeros(count, dtype=values.dtype)
+    return np.concatenate((values, tail))
+
+
+def _doubling_numpy(codes: np.ndarray, cyclic: bool = False) -> np.ndarray:
+    """Same algorithm as :func:`_doubling_small`, vectorized; returns 0-based starts.
+
+    The first round ranks a packed key: the first c characters as digits in
+    base sigma + 1, 0 past the end, with c as large as int64 allows (31 for a
+    ternary text), so doubling starts at step c.  Each round then ranks the
+    pair (rank[i], rank[i + step]) and doubles the step.  A round sorts the
+    new keys in the previous round's order, which is already sorted by the
+    first component; the sorts are stable, so equal keys stay in order of
+    their start positions.
+
+    In cyclic mode the kernel sorts rotations instead of suffixes: position
+    i + step wraps modulo n, and the rounds stop once step >= n, where equal
+    rotations of a non-primitive text still share a key and so come out by
+    start position.
+    """
     n = codes.size
-    rank = np.unique(codes, return_inverse=True)[1].astype(np.int64)
-    step = 1
-    base = np.int64(n + 1)
-    while rank.max() + 1 < n:
-        key2 = np.zeros(n, dtype=np.int64)
-        key2[: n - step] = rank[step:] + 1
-        key = rank * base + key2
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        flags = np.empty(n, dtype=np.int64)
-        flags[0] = 0
-        flags[1:] = sorted_key[1:] != sorted_key[:-1]
-        new_rank = np.empty(n, dtype=np.int64)
-        new_rank[order] = np.cumsum(flags)
-        rank = new_rank
+    digits = np.unique(codes, return_inverse=True)[1] + 1
+    base = int(digits.max()) + 1
+    step = min(n, _int64_width(base))
+    powers = base ** np.arange(step - 1, -1, -1, dtype=np.int64)
+    key = sliding_window_view(_extended(digits, step, cyclic), step)[:n] @ powers
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    # Vectors are updated in place and dropped once used, so at most about
+    # six of length n are alive at a time.
+    del key
+    while True:
+        # The sorted suffixes' ranks; the same vector becomes the next key.
+        key = np.zeros(n, dtype=np.int64)
+        np.cumsum(sorted_key[1:] != sorted_key[:-1], out=key[1:])
+        del sorted_key
+        if key[-1] == n - 1 or step >= n:
+            return order
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = key
+        rank += 1
+        following = _extended(rank, step, cyclic)
+        del rank
+        # key[t] packs (rank, rank step positions on) of suffix order[t].
+        key *= n + 1
+        key += following[order + step]
+        del following
+        by_key = np.argsort(key, kind="stable")
+        order = order[by_key]
+        sorted_key = key[by_key]
         step <<= 1
-    return np.argsort(rank)
 
 
 def suffix_array(text: str) -> SuffixArrayView:
@@ -202,9 +267,7 @@ def suffix_array(text: str) -> SuffixArrayView:
     if n == 0:
         raise ValueError("empty text has no suffix array")
     if n >= _NUMPY_THRESHOLD:
-        codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-        order = _doubling_numpy(codes.astype(np.int64))
-        sa = tuple(int(i) + 1 for i in order)
+        sa = tuple((_doubling_numpy(_codes_of(text)) + 1).tolist())
     else:
         order = _doubling_small([ord(c) for c in text])
         sa = tuple(i + 1 for i in order)
@@ -223,29 +286,37 @@ def inverse_sa(sa: Sequence[int]) -> list[int]:
 
 
 def bwt_from_sa(text: str, sa: Optional[Sequence[int]] = None) -> BwtProfile:
-    """BWT from the suffix array: the character cyclically preceding each suffix."""
+    """BWT from the suffix array: the character cyclically preceding each suffix.
+
+    `sa` may be any integer sequence or array; one gather picks the characters.
+    """
     n = len(text)
+    if n == 0:
+        raise ValueError("empty text has no BWT")
     if sa is None:
         sa = suffix_array(text).sa
     if len(sa) != n:
         raise ValueError(f"suffix array length {len(sa)} != text length {n}")
-    chars = "".join(text[canonical_residue(p - 1, n) - 1] for p in sa)
-    return BwtProfile(chars, "sa-based")
+    preceding = np.asarray(sa).astype(np.int64, casting="same_kind")
+    preceding -= 2
+    preceding %= n
+    chars = _codes_of(text)[preceding]
+    return BwtProfile(_text_of(chars), "sa-based")
 
 
 def bwt_from_matrix(text: str) -> BwtProfile:
     """BWT as the last column of the sorted rotation matrix.
 
-    Ties between equal rotations (non-primitive texts) are broken by starting
-    position; sorting is stable, so this falls out of the index order.
+    The rotations are sorted by the prefix-doubling kernel in cyclic mode, in
+    O(n log n) time and O(n) memory; equal rotations (non-primitive texts)
+    are ordered by starting position.
     """
     n = len(text)
     if n == 0:
         raise ValueError("empty text has no rotation matrix")
-    doubled = text + text
-    starts = sorted(range(n), key=lambda i: doubled[i : i + n])
-    chars = "".join(text[i - 1] for i in starts)  # i-1 is cyclic predecessor of 0-based i
-    return BwtProfile(chars, "matrix-based")
+    codes = _codes_of(text)
+    starts = _doubling_numpy(codes, cyclic=True)
+    return BwtProfile(_text_of(codes[starts - 1]), "matrix-based")
 
 
 def bwt_runs(
@@ -253,15 +324,14 @@ def bwt_runs(
 ) -> tuple[tuple[str, int], ...]:
     """Run-length BWT of the text that splits P at the index-space boundaries.
 
-    The j-th subarray of P holds the positions of rank j, character
-    chr(96 + j); listed in suffix-array order those characters are sorted,
+    The j-th subarray of P holds the positions of rank j, the j-th rank
+    character; listed in suffix-array order those characters are sorted,
     and rotating them left by n - k_inverse gives the BWT.
     """
     edges = (0, *boundaries, perm.n)
+    alphabet = _rank_alphabet(len(edges) - 1)
     sorted_runs = tuple(
-        (chr(96 + rank), hi - lo)
-        for rank, (lo, hi) in enumerate(pairwise(edges), start=1)
-        if hi > lo
+        (ch, hi - lo) for ch, (lo, hi) in zip(alphabet, pairwise(edges)) if hi > lo
     )
     return rotate_runs(sorted_runs, perm.n - perm.k_inverse)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from apsa.cli import main
+from apsa.textindex import parse_compact_runs
 
 
 def run(capsys, *argv):
@@ -160,6 +161,27 @@ def test_synth_above_26_ranks(capsys):
     text = fields(out.strip())["text"]
     assert len(text) == 40
     assert suffix_array(text).sa == tuple(ap_materialize(APPerm(40, 3, 5)))
+
+
+def test_synth_record_above_36_ranks(capsys):
+    from apsa.core import APPerm, ap_materialize
+    from apsa.textindex import bwt_from_sa, suffix_array
+
+    # Ternary (200, 3, 5): required splits after 1 and 197, final entry 2.
+    # 93 ranks pass the characters U+0085, U+00A0 (whitespace) and the
+    # numerals superscript two, three and one.
+    splits = ",".join(str(v) for v in range(3, 93))
+    code, out, _ = run(
+        capsys, "synth", "-n", "200", "-k", "3", "--p1", "5", "--sigma", "93",
+        "--splits", splits,
+    )
+    assert code == 0
+    assert [token.split("=", 1)[0] for token in out.split()] == ["text", "case", "p_s", "bwt"]
+    rec = fields(out)
+    text = rec["text"]
+    assert len(text) == 200 and len(set(text)) == 93
+    assert suffix_array(text).sa == tuple(ap_materialize(APPerm(200, 3, 5)))
+    assert parse_compact_runs(rec["bwt"]) == bwt_from_sa(text).runs
 
 
 def test_synth_int64_overflow_exits_2():

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from apsa.core import (
     APPerm,
+    ap_array,
     ap_detect,
     ap_inverse,
     ap_materialize,
@@ -95,6 +97,32 @@ def test_apperm_rejects_non_coprime_ratio():
 )
 def test_ap_detect(array, expected):
     assert ap_detect(array) == expected
+
+
+def test_ap_detect_accepts_numpy_integers():
+    perm = APPerm(8, 5, 5)
+    assert ap_detect(ap_array(perm)) == perm
+    assert ap_detect(ap_array(perm).astype(np.uint8)) == perm
+    assert ap_detect(tuple(ap_array(perm))) == perm  # numpy scalars in a tuple
+    assert ap_detect(iter(ap_materialize(perm))) == perm
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [True],
+        np.array([True]),
+        [2, True],
+        [np.True_, 2],
+        [1.0],
+        [2.0, 1.0],
+        np.array([5.0, 2.0, 7.0, 4.0, 1.0, 6.0, 3.0, 8.0]),
+        ["1"],
+        [[1]],
+    ],
+)
+def test_ap_detect_rejects_bools_and_non_integers(values):
+    assert ap_detect(values) is None
 
 
 def test_detect_materialize_round_trip():

@@ -1,19 +1,32 @@
-"""Property tests: every closed-form builder against the suffix-array oracle.
+"""Property tests: every closed-form builder against the suffix-array oracle,
+and every numpy oracle against its pure-Python or brute-force counterpart.
 
 Progressions go up to n = 3000, so both oracle paths (pure Python below
 2048, numpy above) are exercised.  Examples are derandomized so the suite
 stays deterministic.
 """
 
+import random
 from math import gcd
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apsa.christoffel import christoffel_word
 from apsa.core import APPerm, ap_materialize
 from apsa.corpus import entry_text_bytes, predicted_bwt_runs
+from apsa.lyndonlab import balanced_via_bwt, is_balanced
 from apsa.synthesis import classify, required_splits, synth, synth_general
-from apsa.textindex import bwt_from_sa, bwt_runs, suffix_array
+from apsa.textindex import (
+    _doubling_small,
+    bwt_from_matrix,
+    bwt_from_sa,
+    bwt_runs,
+    suffix_array,
+)
+
+from helpers import naive_matrix_bwt
 
 MAX_N = 3000
 
@@ -77,3 +90,88 @@ def test_corpus_builders_match_synthesis(perm):
     text = synth(perm).text
     assert entry_text_bytes(perm).decode() == text
     assert predicted_bwt_runs(perm) == bwt_from_sa(text).runs
+
+
+def random_text(rnd, n, alphabet):
+    return "".join(rnd.choice(alphabet) for _ in range(n))
+
+
+@st.composite
+def long_texts(draw):
+    """Texts of 2048..4000 characters, the numpy kernel's range.
+
+    Small alphabets give the widest packed keys; periodic and progressed
+    texts need the most doubling rounds; thousands of distinct characters,
+    most above U+FFFF, shrink the packed key to five characters.
+    """
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    n = rnd.randint(2048, 4000)
+    kind = draw(st.sampled_from(["letters", "periodic", "progressed", "wide"]))
+    if kind == "letters":
+        return random_text(rnd, n, "abcde"[: rnd.randint(1, 5)])
+    if kind == "periodic":
+        word = random_text(rnd, rnd.randint(1, 40), "abc")
+        return (word * (n // len(word) + 1))[:n]
+    if kind == "progressed":
+        k = rnd.choice([k for k in range(1, n) if gcd(k, n) == 1])
+        return synth(APPerm(n, k, rnd.randint(1, n))).text
+    alphabet = [chr(0x10000 + 7 * i) for i in range(rnd.randint(2, n))] + ["a", "\uffff"]
+    return random_text(rnd, n, alphabet)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(long_texts())
+def test_packed_kernel_matches_pure_python_doubling(text):
+    want = tuple(i + 1 for i in _doubling_small([ord(c) for c in text]))
+    assert suffix_array(text).sa == want
+
+
+@st.composite
+def binary_words(draw):
+    """Binary words up to 300 characters, balanced ones included on purpose."""
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["random", "christoffel", "perturbed"]))
+    if kind == "random":
+        return random_text(rnd, draw(st.integers(1, 300)), "ab")
+    p = draw(st.integers(1, 150))
+    q = draw(st.integers(1, 150).filter(lambda q: gcd(p, q) == 1))
+    word = christoffel_word(p, q) * draw(st.integers(1, max(1, 300 // (p + q))))
+    shift = rnd.randrange(len(word))
+    word = word[shift:] + word[:shift]
+    if kind == "perturbed":
+        i = rnd.randrange(len(word))
+        word = word[:i] + ("a" if word[i] == "b" else "b") + word[i + 1 :]
+    return word
+
+
+@bounded
+@given(binary_words())
+def test_is_balanced_matches_bwt_clustering(word):
+    assert is_balanced(word) == balanced_via_bwt(word)
+
+
+@st.composite
+def cyclic_texts(draw):
+    """Texts up to 300 characters, many of them powers such as (ab)^m."""
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    alphabet = "abcd"[: draw(st.integers(1, 4))]
+    root = random_text(rnd, draw(st.integers(1, 12)), alphabet)
+    if draw(st.booleans()):
+        return root * draw(st.integers(1, 300 // len(root)))
+    return random_text(rnd, draw(st.integers(1, 300)), alphabet)
+
+
+@bounded
+@given(cyclic_texts())
+def test_cyclic_matrix_bwt_matches_brute_force(text):
+    assert bwt_from_matrix(text).chars == naive_matrix_bwt(text)
+
+
+@bounded
+@given(cyclic_texts())
+def test_bwt_from_sa_takes_any_integer_sequence(text):
+    sa = suffix_array(text).sa
+    want = "".join(text[p - 2] for p in sa)  # text[-1] precedes position 1
+    for given_sa in (list(sa), sa, np.array(sa), np.array(sa, dtype=np.uint32)):
+        assert bwt_from_sa(text, given_sa).chars == want
+    assert bwt_from_sa(text).chars == want

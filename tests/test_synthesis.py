@@ -11,6 +11,7 @@ from apsa.errors import (
 )
 from apsa.synthesis import (
     SynthCase,
+    _rank_alphabet,
     binary_closed_form,
     classify,
     required_splits,
@@ -254,3 +255,12 @@ def test_synth_general_above_26_ranks():
     assert len(result.text) == 40
     assert len(set(result.text)) == 30
     assert suffix_array(result.text).sa == tuple(ap_materialize(perm))
+
+
+def test_rank_alphabet_keeps_records_parseable():
+    alphabet = _rank_alphabet(5000)
+    assert alphabet[:26] == "abcdefghijklmnopqrstuvwxyz"
+    assert all(a < b for a, b in zip(alphabet, alphabet[1:]))
+    assert alphabet.split() == [alphabet]
+    assert not any(ch.isnumeric() or ch in "=,[]" for ch in alphabet)
+    alphabet.encode("utf-8")  # no surrogates

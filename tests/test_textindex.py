@@ -69,6 +69,16 @@ def test_suffix_array_numpy_path_agrees():
 
 
 @pytest.mark.parametrize(
+    "base, width", [(2, 63), (3, 39), (4, 31), (3_037_000_499, 2), (3_037_000_500, 1)]
+)
+def test_packed_key_width_fills_int64(base, width):
+    from apsa.textindex import _int64_width
+
+    assert _int64_width(base) == width
+    assert base**width <= 2**63 < base ** (width + 1)
+
+
+@pytest.mark.parametrize(
     "sa, expected",
     [
         ([5, 2, 7, 4, 1, 6, 3, 8], [5, 2, 7, 4, 1, 6, 3, 8]),
@@ -134,6 +144,20 @@ def test_bwt_from_matrix_non_primitive_deterministic():
     # Equal rotations ordered by starting position; brute force agrees.
     for text in ("abab", "aaaa", "abcabc", "aabaab"):
         assert bwt_from_matrix(text).chars == naive_matrix_bwt(text)
+
+
+def test_bwt_from_matrix_memory_is_linear():
+    # Sorting n rotation slices would need n^2 bytes, 10 GB here; the
+    # cyclic doubling kernel fits in a 1 GiB address space.
+    from helpers import run_capped
+
+    proc = run_capped(
+        "from apsa.textindex import bwt_from_matrix\n"
+        "chars = bwt_from_matrix('ab' * 50_000).chars\n"
+        "print(chars == 'b' * 50_000 + 'a' * 50_000)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
 
 
 @pytest.mark.parametrize(
