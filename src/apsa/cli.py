@@ -27,7 +27,6 @@ from .lyndonlab import (
     fibonacci_swapped,
     fibonacci_word,
     is_balanced,
-    is_lyndon,
 )
 from .synthesis import classify, synth, synth_general
 from .textindex import bwt_runs, compact_runs, suffix_array
@@ -91,7 +90,8 @@ def _cmd_classify(args) -> int:
     period = _smallest_period(text)
     if period is not None:
         parts.append(f"period={period}")
-    parts.append(f"lyndon={'true' if is_lyndon(text) else 'false'}")
+    # A word is Lyndon exactly when its suffix array starts with 1.
+    parts.append(f"lyndon={'true' if perm.p1 == 1 else 'false'}")
     if set(text) <= {"a", "b"}:
         parts.append(f"balanced={'true' if is_balanced(text) else 'false'}")
     print(" ".join(parts))
@@ -142,11 +142,7 @@ def _cmd_corpus_gen(args) -> int:
         args.out, sizes, cases, args.seed, threads=args.threads
     )
     for entry in manifest.entries:
-        print(
-            f"id={entry.id} n={entry.n} k={entry.k} p1={entry.p1}"
-            f" case={entry.case} text={entry.text_name} sa={entry.sa_name}"
-            f" bwt={compact_runs(entry.bwt_runs)}"
-        )
+        print(corpus_mod._manifest_line(entry))
     print(f"manifest={corpus_mod.MANIFEST_NAME} entries={len(manifest.entries)}")
     return 0
 

@@ -95,20 +95,26 @@ class APPerm:
         return self.n == 1 or (self.p1 == self.n and self.k == self.n - 1)
 
 
-def ap_array(perm: APPerm) -> np.ndarray:
-    """The permutation as an int64 vector, entry i being (p1 - 1 + i*k) mod n + 1.
+def _check_int64(perm: APPerm) -> None:
+    """Raise ValueError when (n - 1)*k + p1, the largest product, exceeds int64."""
+    if (perm.n - 1) * perm.k + perm.p1 > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"progression n={perm.n}, ratio {perm.k}, first entry {perm.p1}"
+            " overflows int64 arithmetic"
+        )
 
-    Raises ValueError, before allocating anything, when (n - 1)*k + p1 does not
-    fit in int64, since the products would wrap silently.  Applied to
+
+def ap_array(perm: APPerm, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+    """Entries [start, stop) of the permutation as an int64 vector.
+
+    Entry i (0-based) is (p1 - 1 + i*k) mod n + 1; stop defaults to n.  Raises
+    ValueError, before allocating anything, when (n - 1)*k + p1 does not fit
+    in int64, since the products would wrap silently.  Applied to
     :func:`ap_inverse` of a permutation it yields the inverse suffix array.
     """
     n, k = perm.n, perm.k
-    if (n - 1) * k + perm.p1 > np.iinfo(np.int64).max:
-        raise ValueError(
-            f"progression n={n}, ratio {k}, first entry {perm.p1}"
-            " overflows int64 arithmetic"
-        )
-    out = np.arange(n, dtype=np.int64)
+    _check_int64(perm)
+    out = np.arange(start, n if stop is None else stop, dtype=np.int64)
     out *= k
     out += perm.p1 - 1
     out %= n

@@ -15,11 +15,18 @@ profile is :func:`apsa.textindex.bwt_runs`.  The files are:
 * manifest: UTF-8 lines of space-separated key=value pairs, one entry per
   line after a format_version header.
 
+Both closed forms give any slice of an entry without the rest, so generation
+and verification work in chunks of 2**20 positions.  The chunks of all
+entries go to one pool of worker threads, parallel within an entry as well
+as across entries, and memory is O(threads x chunk) rather than O(n).  The
+number of threads is capped by the APSA_THREADS environment variable.
+
 Verification is streaming and O(n): a candidate suffix array is accepted
 exactly when its first value is the declared first entry and every following
 value continues the progression, which pins every single value; a candidate
-BWT is compared against the predicted rotation profile.  The number of
-worker threads is capped by the APSA_THREADS environment variable.
+BWT is compared against the predicted rotation profile.  Reading a manifest
+checks every entry against its (n, k, p1): file names must stay inside the
+corpus directory, and the case tag and BWT runs must be the predicted ones.
 """
 
 from __future__ import annotations
@@ -28,15 +35,16 @@ import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import APPerm, ap_array
+from .core import APPerm, _check_int64, ap_array, ap_inverse
 from .errors import CorpusFormatError
-from .synthesis import _split_boundaries, _text_codes, required_splits
-from .textindex import bwt_runs, compact_runs, expand_runs, parse_compact_runs
+from .synthesis import _split_boundaries, _text_codes, classify, required_splits
+from .textindex import bwt_runs, compact_runs, parse_compact_runs
 
 __all__ = [
     "CorpusEntry",
@@ -140,14 +148,15 @@ def pick_parameters(n: int, case: str, seed) -> APPerm:
     return APPerm(n, k, p1)
 
 
-def entry_text_bytes(perm: APPerm) -> bytes:
-    """The canonical synthesized text as raw bytes, built without suffix sorting."""
-    return _text_codes(perm, _split_boundaries(perm, required_splits(perm))).tobytes()
+def entry_text_bytes(perm: APPerm, start: int = 0, stop: Optional[int] = None) -> bytes:
+    """Characters [start, stop) of the canonical synthesized text as raw bytes."""
+    boundaries = _split_boundaries(perm, required_splits(perm))
+    return _text_codes(perm, boundaries, start, stop).tobytes()
 
 
-def entry_sa_array(perm: APPerm) -> np.ndarray:
-    """The materialized progression as little-endian u64, ready to write."""
-    return ap_array(perm).astype("<u8")
+def entry_sa_array(perm: APPerm, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+    """Entries [start, stop) of the progression as little-endian u64, ready to write."""
+    return ap_array(perm, start, stop).view(np.uint64).astype("<u8", copy=False)
 
 
 def predicted_bwt_runs(perm: APPerm) -> tuple[tuple[str, int], ...]:
@@ -169,7 +178,44 @@ def write_manifest(manifest: CorpusManifest, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _decimal(key: str, value: str) -> int:
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(f"{key}={value} is not a decimal integer")
+    return int(value)
+
+
+def _bare_name(key: str, value: str) -> str:
+    """A file name that stays inside the corpus directory: no separator, '.' or '..'."""
+    if value in ("", ".", "..") or any(ch in value for ch in "/\\\0"):
+        raise ValueError(f"{key}={value} is not a bare file name")
+    return value
+
+
+def _parse_entry(fields: dict[str, str]) -> CorpusEntry:
+    """One manifest entry, checked against its (n, k, p1); raises KeyError or ValueError."""
+    entry = CorpusEntry(
+        id=_bare_name("id", fields["id"]),
+        n=_decimal("n", fields["n"]),
+        k=_decimal("k", fields["k"]),
+        p1=_decimal("p1", fields["p1"]),
+        case=fields["case"],
+        text_name=_bare_name("text", fields["text"]),
+        sa_name=_bare_name("sa", fields["sa"]),
+        bwt_runs=parse_compact_runs(fields["bwt"]),
+    )
+    case = classify(entry.perm)[0].value
+    if entry.case != case:
+        raise ValueError(f"case={entry.case} but (n, k, p1) is {case}")
+    predicted = predicted_bwt_runs(entry.perm)
+    if entry.bwt_runs != predicted:
+        raise ValueError(
+            f"bwt={fields['bwt']} but the predicted BWT is {compact_runs(predicted)}"
+        )
+    return entry
+
+
 def read_manifest(path: str) -> CorpusManifest:
+    """Parse and check a manifest; any defect raises CorpusFormatError naming its line."""
     entries = []
     version = None
     with open(path, encoding="utf-8") as fh:
@@ -185,32 +231,50 @@ def read_manifest(path: str) -> CorpusManifest:
                         f"{path}:{line_no}: token {token!r} is not key=value"
                     )
                 fields[key] = value
-            if version is None:
-                if set(fields) != {"format_version"}:
-                    raise CorpusFormatError(f"{path}:1: missing format_version header")
-                version = int(fields["format_version"])
-                continue
             try:
-                entries.append(
-                    CorpusEntry(
-                        id=fields["id"],
-                        n=int(fields["n"]),
-                        k=int(fields["k"]),
-                        p1=int(fields["p1"]),
-                        case=fields["case"],
-                        text_name=fields["text"],
-                        sa_name=fields["sa"],
-                        bwt_runs=parse_compact_runs(fields["bwt"]),
-                    )
-                )
+                if version is None:
+                    if set(fields) != {"format_version"}:
+                        raise ValueError("missing format_version header")
+                    version = _decimal("format_version", fields["format_version"])
+                    if version != FORMAT_VERSION:
+                        raise ValueError(
+                            f"format_version={version} is not {FORMAT_VERSION}"
+                        )
+                else:
+                    entries.append(_parse_entry(fields))
             except KeyError as exc:
                 raise CorpusFormatError(f"{path}:{line_no}: missing field {exc}") from exc
+            except ValueError as exc:
+                raise CorpusFormatError(f"{path}:{line_no}: {exc}") from exc
     if version is None:
         raise CorpusFormatError(f"{path}: empty manifest")
     ids = [e.id for e in entries]
     if len(set(ids)) != len(ids):
         raise CorpusFormatError(f"{path}: duplicate entry ids")
     return CorpusManifest(version, entries)
+
+
+def _chunks(n: int) -> list[tuple[int, int]]:
+    """The [start, stop) ranges of n entries, _CHUNK_ENTRIES at a time."""
+    return [(a, min(a + _CHUNK_ENTRIES, n)) for a in range(0, n, _CHUNK_ENTRIES)]
+
+
+def _run(fn, tasks: list[tuple], threads: Optional[int]) -> list:
+    """fn(*task) for every task on one pool of worker threads, results in task order."""
+    workers = min(thread_count(threads), max(1, len(tasks)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda task: fn(*task), tasks))
+
+
+def _write_chunk(out_dir: str, entry: CorpusEntry, start: int, stop: int) -> None:
+    """Write entries [start, stop) of one corpus entry's text and SA files in place."""
+    for name, data, offset in (
+        (entry.text_name, entry_text_bytes(entry.perm, start, stop), start),
+        (entry.sa_name, entry_sa_array(entry.perm, start, stop), 8 * start),
+    ):
+        with open(os.path.join(out_dir, name), "r+b") as fh:
+            fh.seek(offset)
+            fh.write(data)
 
 
 def generate_corpus(
@@ -220,7 +284,11 @@ def generate_corpus(
     seed,
     threads: Optional[int] = None,
 ) -> CorpusManifest:
-    """Write one entry per (size, case) pair plus a manifest; fully deterministic."""
+    """Write one entry per (size, case) pair plus a manifest; fully deterministic.
+
+    Every entry is written in chunks of _CHUNK_ENTRIES positions, all chunks
+    of all entries on one thread pool, so memory stays O(threads x chunk).
+    """
     os.makedirs(out_dir, exist_ok=True)
     sizes = list(dict.fromkeys(sizes))
     cases = list(dict.fromkeys(cases))
@@ -228,6 +296,8 @@ def generate_corpus(
     for n in sizes:
         for case in cases:
             perm = pick_parameters(n, case, seed)
+            _check_int64(perm)  # refuse before any entry data is written
+            _check_int64(ap_inverse(perm))
             entry_id = f"{case}-n{n}"
             entries.append(
                 CorpusEntry(
@@ -241,22 +311,80 @@ def generate_corpus(
                     bwt_runs=predicted_bwt_runs(perm),
                 )
             )
-
-    def _write(entry: CorpusEntry) -> None:
-        with open(os.path.join(out_dir, entry.text_name), "wb") as fh:
-            fh.write(entry_text_bytes(entry.perm))
-        entry_sa_array(entry.perm).tofile(os.path.join(out_dir, entry.sa_name))
-
-    workers = min(thread_count(threads), max(1, len(entries)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(_write, entries))
-    else:
-        for entry in entries:
-            _write(entry)
+    for entry in entries:
+        for name in (entry.text_name, entry.sa_name):
+            open(os.path.join(out_dir, name), "wb").close()
+    tasks = [(out_dir, e, a, b) for e in entries for a, b in _chunks(e.n)]
+    _run(_write_chunk, tasks, threads)
     manifest = CorpusManifest(FORMAT_VERSION, entries)
     write_manifest(manifest, os.path.join(out_dir, MANIFEST_NAME))
     return manifest
+
+
+def _sa_first_bad(
+    path: str, n: int, k: int, p1: int, zero_based: bool, start: int, stop: int
+) -> Optional[int]:
+    """1-based offset of the first bad value among entries [start, stop), or None.
+
+    Reads one value before start.  With z = 1 for 0-based candidates, a value
+    is bad when it lies outside [1 - z, n - z], when it is the first and not
+    p1 - z, or when it differs from its predecessor by neither k nor k - n
+    (mod 2**64).  That holds exactly when it is not (predecessor + k - 1) mod
+    n + 1, with no vector modulo, and values of 2**63 or more cannot wrap.
+    """
+    lo = max(start - 1, 0)
+    values = np.fromfile(path, dtype="<u8", count=stop - lo, offset=8 * lo)
+    z = int(zero_based)
+    bad = values[start - lo :] - np.uint64(1 - z) >= np.uint64(n)
+    steps = np.diff(values)
+    bad[bad.size - steps.size :] |= (steps != np.uint64(k)) & (
+        steps != np.uint64((k - n) % 2**64)
+    )
+    if start == 0:
+        bad[0] |= values[0] != p1 - z
+    return start + int(bad.argmax()) + 1 if bad.any() else None
+
+
+def _bwt_first_bad(
+    path: str, chars: np.ndarray, edges: np.ndarray, start: int, stop: int
+) -> Optional[int]:
+    """1-based offset of the first mismatch among BWT positions [start, stop), or None.
+
+    Run j holds chars[j] over [edges[j], edges[j + 1]); only the runs that
+    overlap the chunk are expanded.
+    """
+    got = np.fromfile(path, dtype=np.uint8, count=stop - start, offset=start)
+    expected = np.repeat(chars, np.diff(np.clip(edges, start, stop)))
+    bad = got != expected
+    return start + int(bad.argmax()) + 1 if bad.any() else None
+
+
+def _require_size(path: str, size: int, what: str) -> None:
+    found = os.path.getsize(path)
+    if found != size:
+        raise CorpusFormatError(
+            f"{path}: expected {size} bytes{what}, found {found}", offset=min(found, size)
+        )
+
+
+def _sa_check(path: str, n: int, k: int, p1: int, zero_based: bool):
+    """Chunk check of a candidate SA file, after checking its size."""
+    _require_size(path, 8 * n, f" for n={n}")
+    return partial(_sa_first_bad, path, n, k, p1, zero_based)
+
+
+def _bwt_check(path: str, runs: Iterable[tuple[str, int]]):
+    """Chunk check of a candidate BWT file, after checking its size."""
+    runs = tuple(runs)
+    counts = [count for _, count in runs]
+    _require_size(path, sum(counts), "")
+    chars = np.frombuffer("".join(ch for ch, _ in runs).encode("ascii"), dtype=np.uint8)
+    return partial(_bwt_first_bad, path, chars, np.cumsum([0, *counts]))
+
+
+def _first_bad(check, n: int) -> Optional[int]:
+    """The first failing offset over all chunks, stopping at the first failing chunk."""
+    return next(filter(None, (check(a, b) for a, b in _chunks(n))), None)
 
 
 def verify_sa_file(
@@ -268,32 +396,8 @@ def verify_sa_file(
     advanced by k modulo n, which determines the whole array; the first
     offending 1-based index is reported on failure.
     """
-    size = os.path.getsize(path)
-    if size != 8 * n:
-        raise CorpusFormatError(
-            f"{path}: expected {8 * n} bytes for n={n}, found {size}",
-            offset=min(size, 8 * n),
-        )
-    offset = 1 if zero_based else 0
-    prev = None
-    index = 0
-    with open(path, "rb") as fh:
-        while True:
-            buf = fh.read(8 * _CHUNK_ENTRIES)
-            if not buf:
-                break
-            arr = np.frombuffer(buf, dtype="<u8").astype(np.int64) + offset
-            if index == 0 and arr[0] != p1:
-                return CheckResult("", "sa", False, 1)
-            if prev is not None and arr[0] != (prev + k - 1) % n + 1:
-                return CheckResult("", "sa", False, index + 1)
-            expected = (arr[:-1] + k - 1) % n + 1
-            good = arr[1:] == expected
-            if not bool(good.all()):
-                return CheckResult("", "sa", False, index + int(np.argmin(good)) + 2)
-            prev = int(arr[-1])
-            index += arr.size
-    return CheckResult("", "sa", True)
+    first = _first_bad(_sa_check(path, n, k, p1, zero_based), n)
+    return CheckResult("", "sa", first is None, first)
 
 
 def verify_bwt_file(
@@ -301,25 +405,8 @@ def verify_bwt_file(
 ) -> CheckResult:
     """Streaming comparison of a candidate BWT against the predicted profile."""
     runs = tuple(runs)
-    n = sum(count for _, count in runs)
-    size = os.path.getsize(path)
-    if size != n:
-        raise CorpusFormatError(
-            f"{path}: expected {n} bytes, found {size}", offset=min(size, n)
-        )
-    expected = np.frombuffer(expand_runs(runs).encode("ascii"), dtype=np.uint8)
-    pos = 0
-    with open(path, "rb") as fh:
-        while True:
-            buf = fh.read(_CHUNK_ENTRIES)
-            if not buf:
-                break
-            got = np.frombuffer(buf, dtype=np.uint8)
-            good = got == expected[pos : pos + got.size]
-            if not bool(good.all()):
-                return CheckResult("", "bwt", False, pos + int(np.argmin(good)) + 1)
-            pos += got.size
-    return CheckResult("", "bwt", True)
+    first = _first_bad(_bwt_check(path, runs), sum(count for _, count in runs))
+    return CheckResult("", "bwt", first is None, first)
 
 
 def verify_corpus(
@@ -335,7 +422,9 @@ def verify_corpus(
 
     By default each entry's SA file named in the manifest is checked, plus a
     sibling <id>.bwt candidate if one exists.  A single entry can be targeted
-    with explicit candidate paths instead.  Results keep manifest order.
+    with explicit candidate paths instead.  The chunks of every check go to
+    one thread pool; each check reports its smallest failing offset.  Results
+    keep manifest order.
     """
     manifest = read_manifest(manifest_path)
     base = directory or os.path.dirname(os.path.abspath(manifest_path))
@@ -345,21 +434,20 @@ def verify_corpus(
         if not entries:
             raise ValueError(f"no entry with id {only_id!r} in {manifest_path}")
 
-    def _verify(entry: CorpusEntry) -> list[CheckResult]:
-        results = []
+    checks = []  # (entry id, check name, n, chunk check)
+    for entry in entries:
         sa_path = sa_override or os.path.join(base, entry.sa_name)
-        res = verify_sa_file(sa_path, entry.n, entry.k, entry.p1, zero_based)
-        results.append(CheckResult(entry.id, "sa", res.ok, res.first_bad))
+        sa = _sa_check(sa_path, entry.n, entry.k, entry.p1, zero_based)
+        checks.append((entry.id, "sa", entry.n, sa))
         bwt_path = bwt_override or os.path.join(base, f"{entry.id}.bwt")
         if bwt_override or os.path.exists(bwt_path):
-            res = verify_bwt_file(bwt_path, entry.bwt_runs)
-            results.append(CheckResult(entry.id, "bwt", res.ok, res.first_bad))
-        return results
-
-    workers = min(thread_count(threads), max(1, len(entries)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            nested = list(pool.map(_verify, entries))
-    else:
-        nested = [_verify(e) for e in entries]
-    return [r for group in nested for r in group]
+            checks.append((entry.id, "bwt", entry.n, _bwt_check(bwt_path, entry.bwt_runs)))
+    tasks = [(i, a, b) for i, (_, _, n, _) in enumerate(checks) for a, b in _chunks(n)]
+    first_bad: dict[int, int] = {}
+    for (i, _, _), first in zip(tasks, _run(lambda i, a, b: checks[i][3](a, b), tasks, threads)):
+        if first is not None:
+            first_bad.setdefault(i, first)  # chunks come in order: the first is the smallest
+    return [
+        CheckResult(entry_id, name, i not in first_bad, first_bad.get(i))
+        for i, (entry_id, name, _, _) in enumerate(checks)
+    ]

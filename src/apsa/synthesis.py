@@ -166,18 +166,21 @@ def _split_boundaries(perm: APPerm, values: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(idx))
 
 
-def _text_codes(perm: APPerm, boundaries: Sequence[int]) -> np.ndarray:
-    """Character codes of the text split at the given boundaries of P.
+def _text_codes(
+    perm: APPerm, boundaries: Sequence[int], start: int = 0, stop: Optional[int] = None
+) -> np.ndarray:
+    """Character codes, positions [start, stop), of the text split at boundaries of P.
 
     Position i takes rank 1 + #{b in boundaries : isa[i] > b}, where isa is
     the inverse of P.  Up to 26 ranks the codes of 'a'..'z' are accumulated
     one boundary at a time in one byte each.  Above that each position finds
     its rank by binary search of the boundaries, O(n log sigma), and reads
-    its code off :func:`_rank_alphabet`.
+    its code off :func:`_rank_alphabet`.  stop defaults to n.
     """
-    isa = ap_array(ap_inverse(perm)) if boundaries else None
+    stop = perm.n if stop is None else stop
+    isa = ap_array(ap_inverse(perm), start, stop) if boundaries else None
     if len(boundaries) < 26:
-        codes = np.full(perm.n, ord("a"), dtype=np.uint8)
+        codes = np.full(stop - start, ord("a"), dtype=np.uint8)
         for b in boundaries:
             codes += isa > b
         return codes

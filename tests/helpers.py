@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import threading
 from itertools import product
 from math import gcd
 
@@ -80,3 +81,32 @@ def run_capped(code):
         text=True,
         timeout=120,
     )
+
+
+def run_measured(code, timeout=120):
+    """Run Python `code` in a child process; return (returncode, output, peak RSS in MiB).
+
+    The peak is the ru_maxrss that wait4 reports for that one child, so
+    neither this process nor its other children count.  The output is
+    stdout and stderr together.  A child still running after `timeout`
+    seconds is killed.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(apsa.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    killer = threading.Timer(timeout, proc.kill)
+    killer.start()
+    try:
+        with proc.stdout:
+            out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+    finally:
+        killer.cancel()
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait again
+    return proc.returncode, out, usage.ru_maxrss / 1024  # KiB on Linux

@@ -194,3 +194,40 @@ def test_synth_int64_overflow_exits_2():
     )
     assert proc.returncode == 2, proc.stderr
     assert "overflows int64" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text", ["a", "aa", "ab", "ba", "abb", "bbb", "aabab", "babbabac", "ababbabb", "abaababa"]
+)
+def test_classify_lyndon_matches_definition(capsys, text):
+    from apsa.lyndonlab import is_lyndon
+
+    code, out, _ = run(capsys, "classify", text)
+    rec = fields(out.strip())
+    assert code == 0 and rec["ap"] == "true"
+    assert rec["lyndon"] == ("true" if is_lyndon(text) else "false")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("format_version", "9"),
+        ("n", "6x4"),
+        ("p1", "65"),
+        ("sa", "../mf/binary3-n64.sa"),
+        ("case", "ternary"),
+        ("bwt", "a64"),
+    ],
+)
+def test_corpus_verify_malformed_manifest_exits_3(tmp_path, capsys, key, value):
+    import re
+
+    out_dir = tmp_path / "corpus"
+    run(capsys, "corpus", "gen", "--out", str(out_dir), "--sizes", "64",
+        "--cases", "binary3", "--seed", "1")
+    path = out_dir / "manifest.txt"
+    path.write_text(re.sub(rf"(?<!\S){key}=\S*", f"{key}={value}", path.read_text()))
+    code, out, err = run(capsys, "corpus", "verify", str(path))
+    assert code == 3, (out, err)
+    assert out == ""
+    assert "manifest.txt:" in err

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -216,3 +217,141 @@ def test_builders_refuse_int64_overflow(builder):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("ValueError"), proc.stdout
     assert "overflows int64" in proc.stdout
+
+
+def _rewrite_manifest_field(path, line_no, key, value):
+    lines = path.read_text().splitlines()
+    line, count = re.subn(rf"(?<!\S){key}=\S*", f"{key}={value}", lines[line_no - 1])
+    assert count == 1
+    lines[line_no - 1] = line
+    path.write_text("\n".join(lines) + "\n")
+
+
+# Line 1 is the header, line 2 the binary3 entry of a manifest holding
+# binary3-n64 and ternary-n64.
+MANIFEST_DEFECTS = [
+    (1, "format_version", "x"),
+    (1, "format_version", "9"),
+    (2, "n", "6x4"),
+    (2, "k", "+3"),
+    (2, "k", "2"),  # not coprime with 64
+    (2, "p1", "1.0"),
+    (2, "p1", "65"),
+    (2, "p1", "0"),
+    (2, "sa", "../mf/binary3-n64.sa"),
+    (2, "sa", "/tmp/binary3-n64.sa"),
+    (2, "sa", ".."),
+    (2, "text", "sub/binary3-n64.txt"),
+    (2, "id", "../binary3-n64"),
+    (2, "case", "ternary"),
+    (2, "bwt", "a64"),
+]
+
+
+@pytest.mark.parametrize("line_no, key, value", MANIFEST_DEFECTS)
+def test_manifest_defects_name_their_line(tmp_path, line_no, key, value):
+    out = tmp_path / "c"
+    generate_corpus(out, [64], ["binary3", "ternary"], 3)
+    path = out / "manifest.txt"
+    _rewrite_manifest_field(path, line_no, key, value)
+    with pytest.raises(CorpusFormatError, match=f"manifest.txt:{line_no}: "):
+        read_manifest(path)
+
+
+def test_chunked_generation_is_byte_identical(tmp_path, monkeypatch):
+    import apsa.corpus as corpus
+
+    sizes, cases = [7, 8, 20, 64, 101], list(CASES)
+    whole = tmp_path / "whole"
+    generate_corpus(whole, sizes, cases, 5, threads=1)
+    monkeypatch.setattr(corpus, "_CHUNK_ENTRIES", 7)
+    for threads in (1, 4):
+        out = tmp_path / f"t{threads}"
+        generate_corpus(out, sizes, cases, 5, threads=threads)
+        names = sorted(p.name for p in whole.iterdir())
+        assert names == sorted(p.name for p in out.iterdir())
+        for name in names:
+            assert (whole / name).read_bytes() == (out / name).read_bytes(), name
+    for entry in read_manifest(whole / "manifest.txt").entries:
+        assert (whole / entry.text_name).read_bytes() == entry_text_bytes(entry.perm)
+        assert (whole / entry.sa_name).read_bytes() == entry_sa_array(entry.perm).tobytes()
+
+
+@pytest.mark.parametrize(
+    "corrupt, reported",
+    [
+        ([8], 8),  # first entry of the second chunk
+        ([14], 14),  # last entry of the second chunk
+        ([1], 1),
+        ([64], 64),
+        ([50, 31], 31),  # two chunks at once
+    ],
+)
+@pytest.mark.parametrize("threads", [1, 4])
+def test_chunked_verify_reports_smallest_offset(tmp_path, monkeypatch, corrupt, reported, threads):
+    import apsa.corpus as corpus
+
+    monkeypatch.setattr(corpus, "_CHUNK_ENTRIES", 7)
+    out = tmp_path / "c"
+    generate_corpus(out, [64], ["ternary"], "chunks")
+    entry = read_manifest(out / "manifest.txt").entries[0]
+    text = (out / entry.text_name).read_bytes().decode()
+    bwt = bytearray(bwt_from_sa(text).chars.encode())
+    sa = np.fromfile(out / entry.sa_name, dtype="<u8")
+    for offset in corrupt:
+        sa[offset - 1] = sa[offset - 1] % entry.n + 1
+        bwt[offset - 1] ^= 1
+    sa.tofile(out / entry.sa_name)
+    (out / f"{entry.id}.bwt").write_bytes(bytes(bwt))
+    results = verify_corpus(out / "manifest.txt", threads=threads)
+    assert [(r.check, r.ok, r.first_bad) for r in results] == [
+        ("sa", False, reported),
+        ("bwt", False, reported),
+    ]
+    assert verify_sa_file(out / entry.sa_name, entry.n, entry.k, entry.p1).first_bad == reported
+    assert verify_bwt_file(out / f"{entry.id}.bwt", entry.bwt_runs).first_bad == reported
+
+
+@pytest.mark.parametrize("offset", [1, 2, 7, 8, 40])
+@pytest.mark.parametrize("zero_based", [False, True])
+def test_verify_reports_top_u64_value(tmp_path, monkeypatch, offset, zero_based):
+    import apsa.corpus as corpus
+
+    monkeypatch.setattr(corpus, "_CHUNK_ENTRIES", 7)
+    perm = APPerm(40, 7, 3)
+    path = tmp_path / "cand.sa"
+    sa = entry_sa_array(perm) - np.uint64(zero_based)
+    sa[offset - 1] = 2**64 - 1
+    sa.tofile(path)
+    res = verify_sa_file(path, perm.n, perm.k, perm.p1, zero_based=zero_based)
+    assert not res.ok and res.first_bad == offset
+
+
+def test_generation_refuses_overflow_before_writing(tmp_path, monkeypatch):
+    import apsa.corpus as corpus
+
+    # An entry whose ratio overflows int64 comes after one that does not.
+    real = corpus.pick_parameters
+    monkeypatch.setattr(
+        corpus,
+        "pick_parameters",
+        lambda n, case, seed: APPerm(4000000007, 4000000004, 1) if n == 9 else real(n, case, seed),
+    )
+    out = tmp_path / "c"
+    with pytest.raises(ValueError, match="overflows int64"):
+        generate_corpus(out, [64, 9], ["binary3"], 0, threads=2)
+    assert list(out.iterdir()) == []
+
+
+def test_generation_peak_memory_is_bounded(tmp_path):
+    from helpers import run_measured
+
+    # One 10^7 ternary entry on two threads; whole-entry vectors would need
+    # about 24 bytes per entry per thread, some 280 MiB.
+    code, out, peak_mib = run_measured(
+        "from apsa.corpus import generate_corpus\n"
+        f"generate_corpus({str(tmp_path / 'c')!r}, [10**7], ['ternary'], 1, threads=2)\n"
+    )
+    assert code == 0, out
+    assert (tmp_path / "c" / "ternary-n10000000.sa").stat().st_size == 8 * 10**7
+    assert peak_mib < 150, peak_mib

@@ -249,3 +249,16 @@ def test_fibonacci_square_identity():
         if f[m - 1] > 10**6:
             break
         assert f[m - 3] ** 2 % f[m - 1] == 1
+
+
+def test_lyndon_iff_progressed_suffix_array_starts_with_one():
+    # What `apsa classify` reports as lyndon= for progressed texts.
+    seen = {True: 0, False: 0}
+    for sigma in (2, 3):
+        for length in range(1, 9):
+            for text in all_strings(sigma, length):
+                perm = ap_detect(naive_sa(text))
+                if perm is not None:
+                    assert is_lyndon(text) == (perm.p1 == 1), text
+                    seen[perm.p1 == 1] += 1
+    assert min(seen.values()) > 100, seen

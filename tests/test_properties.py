@@ -14,10 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apsa.christoffel import christoffel_word
-from apsa.core import APPerm, ap_materialize
+from apsa.core import APPerm, ap_array, ap_materialize
 from apsa.corpus import entry_text_bytes, predicted_bwt_runs
 from apsa.lyndonlab import balanced_via_bwt, is_balanced
-from apsa.synthesis import classify, required_splits, synth, synth_general
+from apsa.synthesis import (
+    _split_boundaries,
+    _text_codes,
+    classify,
+    required_splits,
+    synth,
+    synth_general,
+)
 from apsa.textindex import (
     _doubling_small,
     bwt_from_matrix,
@@ -175,3 +182,23 @@ def test_bwt_from_sa_takes_any_integer_sequence(text):
     for given_sa in (list(sa), sa, np.array(sa), np.array(sa, dtype=np.uint32)):
         assert bwt_from_sa(text, given_sa).chars == want
     assert bwt_from_sa(text).chars == want
+
+
+@bounded
+@given(ap_perms(), st.data())
+def test_ap_array_ranges_are_slices(perm, data):
+    start = data.draw(st.integers(0, perm.n))
+    stop = data.draw(st.integers(start, perm.n))
+    assert np.array_equal(ap_array(perm, start, stop), ap_array(perm)[start:stop])
+
+
+@bounded
+@given(perms_with_free_splits(), st.data())
+def test_text_code_ranges_are_slices(case, data):
+    perm, _, free = case
+    boundaries = _split_boundaries(perm, required_splits(perm).union(free))
+    start = data.draw(st.integers(0, perm.n))
+    stop = data.draw(st.integers(start, perm.n))
+    whole = _text_codes(perm, boundaries)
+    assert np.array_equal(_text_codes(perm, boundaries, start, stop), whole[start:stop])
+    assert np.array_equal(_text_codes(perm, boundaries, start), whole[start:])
