@@ -3,24 +3,26 @@
 A lower Christoffel word for coprime (p, q) traces the staircase path from
 (0, 0) to (p, q) just below the connecting segment: 'a' is a unit step right,
 'b' a unit step up, and no lattice point lies strictly between path and
-segment.  Generation uses the Cayley-graph form: character i is 'a' exactly
-when (i-1)q mod0 n < iq mod0 n, with n = p + q and mod0 denoting plain
-0-based residues.  The 0-based arithmetic is confined to this module; every
-exported index follows the package's 1-based convention.
+segment.  Every exported index follows the package's 1-based convention.
 
 The suffix array of a lower Christoffel word is arithmetically progressed
-with first entry 1 and ratio q^{-1} mod n, its BWT is b^q a^p, and its split
-index equals p.
+with first entry 1 and ratio q^{-1} mod n (n = p + q), its BWT is b^q a^p,
+and its split index equals p.  So for p, q >= 1 the word is the binary3
+synthesis of that progression and its BWT the closed-form prediction.  The
+Cayley-graph form (character i is 'a' exactly when (i-1)q < iq, both taken
+as plain 0-based residues mod n) is the tests' independent reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .core import APPerm, canonical_residue, mod_inverse
 from .errors import DegenerateSlopeError, NotCoprimeError
-from .textindex import BwtProfile, suffix_array
+from .synthesis import synth_binary
+from .textindex import BwtProfile, bwt_predict, suffix_array
 
 __all__ = [
     "ChristoffelParams",
@@ -64,13 +66,10 @@ class LatticePath:
 
 def christoffel_word(p: int, q: int) -> str:
     """The lower Christoffel word with slope q/p, a Lyndon word of length p + q."""
-    params = ChristoffelParams(p, q)
-    n = params.n
-    if q == 0:
-        return "a" * p
-    return "".join(
-        "a" if ((i - 1) * q) % n < (i * q) % n else "b" for i in range(1, n + 1)
-    )
+    ChristoffelParams(p, q)
+    if p == 0 or q == 0:
+        return "a" * p + "b" * q
+    return synth_binary(christoffel_sa_params(p, q)).text
 
 
 def christoffel_upper(p: int, q: int) -> str:
@@ -94,23 +93,13 @@ def christoffel_sa_params(p: int, q: int) -> APPerm:
 
 def christoffel_bwt(p: int, q: int) -> BwtProfile:
     """Predicted BWT shape b^q a^p."""
-    _positive_slope(p, q)
-    runs = tuple(r for r in (("b", q), ("a", p)) if r[1] > 0)
-    return BwtProfile("b" * q + "a" * p, "predicted", runs)
+    return bwt_predict(christoffel_sa_params(p, q))
 
 
 def christoffel_path(p: int, q: int) -> LatticePath:
     """The staircase path induced by the word; stays weakly below the segment."""
-    word = christoffel_word(p, q)
-    x = y = 0
-    points = [(0, 0)]
-    for ch in word:
-        if ch == "a":
-            x += 1
-        else:
-            y += 1
-        points.append((x, y))
-    return LatticePath(tuple(points))
+    xs = accumulate((ch == "a" for ch in christoffel_word(p, q)), initial=0)
+    return LatticePath(tuple((x, i - x) for i, x in enumerate(xs)))
 
 
 def factorization_index(p: int, q: int) -> int:
@@ -138,14 +127,7 @@ def closest_path_point(p: int, q: int) -> int:
     """
     params = _positive_slope(p, q)
     points = christoffel_path(p, q).points
-    best_i = None
-    best = None
-    for i in range(1, params.n):
-        x, y = points[i]
-        d = abs(q * x - p * y)
-        if best is None or d < best:
-            best, best_i = d, i
-    return best_i
+    return min(range(1, params.n), key=lambda i: abs(q * points[i][0] - p * points[i][1]))
 
 
 def adjacent_diff_columns(n: int, k: int, i: int) -> tuple[int, int]:

@@ -43,7 +43,7 @@ import numpy as np
 
 from .core import APPerm, _check_int64, ap_array, ap_inverse
 from .errors import CorpusFormatError
-from .synthesis import _split_boundaries, _text_codes, classify, required_splits
+from .synthesis import _canonical_boundaries, _text_codes, classify
 from .textindex import bwt_runs, compact_runs, parse_compact_runs
 
 __all__ = [
@@ -150,8 +150,7 @@ def pick_parameters(n: int, case: str, seed) -> APPerm:
 
 def entry_text_bytes(perm: APPerm, start: int = 0, stop: Optional[int] = None) -> bytes:
     """Characters [start, stop) of the canonical synthesized text as raw bytes."""
-    boundaries = _split_boundaries(perm, required_splits(perm))
-    return _text_codes(perm, boundaries, start, stop).tobytes()
+    return _text_codes(perm, _canonical_boundaries(perm), start, stop).tobytes()
 
 
 def entry_sa_array(perm: APPerm, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
@@ -161,7 +160,7 @@ def entry_sa_array(perm: APPerm, start: int = 0, stop: Optional[int] = None) -> 
 
 def predicted_bwt_runs(perm: APPerm) -> tuple[tuple[str, int], ...]:
     """Run-length form of the BWT of the canonical text, computed on runs only."""
-    return bwt_runs(perm, _split_boundaries(perm, required_splits(perm)))
+    return bwt_runs(perm, _canonical_boundaries(perm))
 
 
 def _manifest_line(entry: CorpusEntry) -> str:
@@ -422,10 +421,13 @@ def verify_corpus(
 
     By default each entry's SA file named in the manifest is checked, plus a
     sibling <id>.bwt candidate if one exists.  A single entry can be targeted
-    with explicit candidate paths instead.  The chunks of every check go to
-    one thread pool; each check reports its smallest failing offset.  Results
-    keep manifest order.
+    with explicit candidate paths instead; a candidate path without only_id
+    raises ValueError before any file is opened.  The chunks of every check
+    go to one thread pool; each check reports its smallest failing offset.
+    Results keep manifest order.
     """
+    if only_id is None and (sa_override or bwt_override):
+        raise ValueError("candidate --sa/--bwt files need --id to name their entry")
     manifest = read_manifest(manifest_path)
     base = directory or os.path.dirname(os.path.abspath(manifest_path))
     entries = manifest.entries

@@ -3,7 +3,8 @@
 Every string with suffix array P reads, in suffix-array order, as a
 nondecreasing sequence of ranks, so it corresponds to a composition of n into
 sigma nonnegative class sizes whose boundaries include the required splits.
-Generation enumerates those compositions; counting gives binomial bounds:
+Generation merges the required boundaries into each multiset of free ones,
+so no composition is built and then discarded; counting gives binomial bounds:
 
 * at most C(n + sigma - 1, n) strings for an arbitrary permutation,
 * at most C(n + sigma - 1, sigma - sigma_min) for a fixed progression,
@@ -20,13 +21,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import merge
 from itertools import combinations_with_replacement, product
 from math import comb
 from typing import Iterator, Optional
 
-from .core import APPerm, ap_materialize
+from .core import APPerm, ap_inverse, ap_materialize
 from .errors import AlphabetTooSmallError, SearchSpaceTooLargeError
-from .synthesis import _rank_alphabet, _split_boundaries, classify, required_splits
+from .synthesis import _canonical_boundaries, _rank_alphabet, classify
 from .textindex import suffix_array
 
 __all__ = [
@@ -71,20 +73,10 @@ def count_bounds(n: int, sigma: int, sigma_min_: int) -> CountReport:
 
 
 def _compositions(perm: APPerm, sigma: int) -> Iterator[tuple[int, ...]]:
-    """Cumulative boundary multisets over [0..n] containing the required splits."""
-    n = perm.n
-    required = _split_boundaries(perm, required_splits(perm))
-    for cum in combinations_with_replacement(range(n + 1), sigma - 1):
-        cum_set = set(cum)
-        if all(r in cum_set for r in required):
-            yield cum
-
-
-def _string_for(p: list[int], cum: tuple[int, ...], alphabet: str) -> str:
-    chars = [""] * len(p)
-    for i, pos in enumerate(p, start=1):
-        chars[pos - 1] = alphabet[bisect_left(cum, i)]
-    return "".join(chars)
+    """Cumulative boundary multisets over [0..n] holding the required splits, in lex order."""
+    required = _canonical_boundaries(perm)
+    for free in combinations_with_replacement(range(perm.n + 1), sigma - 1 - len(required)):
+        yield tuple(merge(required, free))
 
 
 def candidate_strings(perm: APPerm, sigma: int) -> Iterator[str]:
@@ -93,10 +85,10 @@ def candidate_strings(perm: APPerm, sigma: int) -> Iterator[str]:
         raise AlphabetTooSmallError(
             f"alphabet size {sigma} below the required minimum {sigma_min(perm)}"
         )
-    p = ap_materialize(perm)
+    isa = ap_materialize(ap_inverse(perm))
     alphabet = _rank_alphabet(sigma)
     for cum in _compositions(perm, sigma):
-        yield _string_for(p, cum, alphabet)
+        yield "".join([alphabet[bisect_left(cum, rank)] for rank in isa])
 
 
 def enumerate_strings(perm: APPerm, sigma: int) -> Iterator[str]:

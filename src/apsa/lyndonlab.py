@@ -21,8 +21,9 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import canonical_residue
+from .core import APPerm
 from .errors import WrongParityError
+from .synthesis import synth_binary
 from .textindex import bwt_from_matrix, suffix_array
 
 __all__ = [
@@ -105,15 +106,16 @@ def right_factorization(w: str) -> Factorization:
 
 
 def left_factorization(w: str) -> Factorization:
-    """Split a Lyndon word after its longest proper Lyndon prefix."""
+    """Split a Lyndon word after its longest proper Lyndon prefix.
+
+    By Chen-Fox-Lyndon that prefix is the first Duval factor of w[:-1].
+    """
     if len(w) < 2:
         raise ValueError("need at least two characters to factorize")
     if not is_lyndon(w):
         raise ValueError(f"{w!r} is not a Lyndon word")
-    for length in range(len(w) - 1, 0, -1):
-        if is_lyndon(w[:length]):
-            return Factorization((w[:length], w[length:]), "left")
-    raise AssertionError("unreachable: single characters are Lyndon")
+    cut = len(duval_factorization(w[:-1]).factors[0])
+    return Factorization((w[:cut], w[cut:]), "left")
 
 
 def _balanced2_tree(w: str, memo: dict) -> Optional[Factorization]:
@@ -232,21 +234,18 @@ def fibonacci_lengths(m: int) -> list[int]:
 
 
 def fibonacci_closed_form(m: int) -> str:
-    """Even-index Fibonacci word by direct formula instead of recursion.
+    """Even-index Fibonacci word by synthesis instead of recursion.
 
-    Character i is 'a' exactly when 1 + i*f(m-2), reduced into [1..f(m)],
-    is at most f(m-1).
+    It is the binary string whose suffix array is the progression
+    (f(m), f(m-2), f(m)): character i is 'a' exactly when 1 + i*f(m-2),
+    reduced into [1..f(m)], is at most f(m-1).
     """
     if m % 2:
         raise WrongParityError(f"closed form applies to even indices, got {m}")
     if m < 4:
         raise ValueError(f"index must be at least 4, got {m}")
     f = fibonacci_lengths(m)
-    fm, fm1, fm2 = f[m - 1], f[m - 2], f[m - 3]
-    return "".join(
-        "a" if canonical_residue(1 + i * fm2, fm) <= fm1 else "b"
-        for i in range(1, fm + 1)
-    )
+    return synth_binary(APPerm(f[m - 1], f[m - 3], f[m - 1])).text
 
 
 _SWAP = str.maketrans("ab", "ba")

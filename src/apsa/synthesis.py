@@ -15,9 +15,10 @@ Split positions are handled in two coordinate systems: "after the entry with
 value v" (value space) and "after index i of P" (index space).  Each closed
 form has one home here: :func:`required_splits` gives the forced split
 values, :func:`_split_boundaries` is the only conversion from value space to
-index space, and :func:`_text_codes` is the only text builder, reading each
-character's rank off the inverse suffix array (:func:`apsa.core.ap_array` of
-:func:`apsa.core.ap_inverse`).  :func:`binary_closed_form` re-derives the
+index space (:func:`_canonical_boundaries` and :func:`_ternary_boundaries`
+name its two uses), and :func:`_text_codes` is the only text builder, reading
+each character's rank off the inverse suffix array (:func:`apsa.core.ap_array`
+of :func:`apsa.core.ap_inverse`).  :func:`binary_closed_form` re-derives the
 binary strings independently for cross-checking.
 """
 
@@ -66,14 +67,13 @@ class SynthCase(Enum):
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Ordered boundary set partitioning P, plus the character rank per part.
+    """Ordered boundary set partitioning P.
 
-    boundaries[j] = i means "split right after index i of P"; labels[j] is the
-    rank (1 = smallest) assigned to the j-th subarray.
+    boundaries[j] = i means "split right after index i of P"; the subarrays
+    take ranks 1, 2, ... in order, 1 being the smallest.
     """
 
     boundaries: tuple[int, ...]
-    labels: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -166,6 +166,19 @@ def _split_boundaries(perm: APPerm, values: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(idx))
 
 
+def _canonical_boundaries(perm: APPerm) -> tuple[int, ...]:
+    """Index-space boundaries of the canonical minimal-alphabet string."""
+    return _split_boundaries(perm, required_splits(perm))
+
+
+def _ternary_boundaries(perm: APPerm) -> tuple[int, ...]:
+    """Index-space boundaries of the three-way split after n - k and (p1 - k - 1) mod n."""
+    if perm.is_reversal:
+        raise UnsupportedCaseError("the reversal permutation is covered by the unary family")
+    n, k, p1 = perm.n, perm.k, perm.p1
+    return _split_boundaries(perm, {n - k, canonical_residue(p1 - k - 1, n)})
+
+
 def _text_codes(
     perm: APPerm, boundaries: Sequence[int], start: int = 0, stop: Optional[int] = None
 ) -> np.ndarray:
@@ -202,10 +215,9 @@ def _result(
     """
     codes = _text_codes(perm, boundaries)
     text = codes.tobytes().decode("latin-1" if codes.itemsize == 1 else "utf-32-le")
-    labels = tuple(range(1, len(boundaries) + 2))
     b0 = boundaries[0] if boundaries else perm.n
     p_s = canonical_residue(perm.p1 + (b0 - 1) * perm.k, perm.n)
-    return SynthResult(text, case, SplitSpec(boundaries, labels), s, p_s, period)
+    return SynthResult(text, case, SplitSpec(boundaries), s, p_s, period)
 
 
 def synth_ternary(perm: APPerm) -> SynthResult:
@@ -215,15 +227,10 @@ def synth_ternary(perm: APPerm) -> SynthResult:
     subarrays a, b, c in order.  For p1 in {1, n} one subarray vanishes and
     the output is binary; for the reversal the construction does not apply.
     """
-    if perm.is_reversal:
-        raise UnsupportedCaseError(
-            "the reversal permutation is covered by the unary family"
-        )
-    n, k, p1 = perm.n, perm.k, perm.p1
-    boundaries = _split_boundaries(perm, {n - k, canonical_residue(p1 - k - 1, n)})
+    boundaries = _ternary_boundaries(perm)
     case, _ = classify(perm)
     s = boundaries[0] if case in (SynthCase.BINARY1, SynthCase.BINARY3) else None
-    period = n - k if case is SynthCase.BINARY1 else None
+    period = perm.n - perm.k if case is SynthCase.BINARY1 else None
     return _result(perm, case, boundaries, s, period)
 
 
@@ -244,7 +251,7 @@ def synth_binary(perm: APPerm) -> SynthResult:
             f"first entry {perm.p1} not in {{1, {perm.k + 1}, {perm.n}}};"
             " no binary string has this suffix array"
         )
-    boundaries = _split_boundaries(perm, required_splits(perm))
+    boundaries = _canonical_boundaries(perm)
     period = perm.n - perm.k if case in (SynthCase.BINARY1, SynthCase.BINARY2) else None
     return _result(perm, case, boundaries, boundaries[0], period)
 

@@ -38,7 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import APPerm
 from .errors import UnsupportedCaseError
-from .synthesis import _rank_alphabet, _split_boundaries, required_splits, synth_ternary
+from .synthesis import _canonical_boundaries, _rank_alphabet, _ternary_boundaries
 
 __all__ = [
     "SuffixArrayView",
@@ -343,7 +343,7 @@ def bwt_predict(perm: APPerm) -> BwtProfile:
     """
     if perm.is_reversal:
         raise UnsupportedCaseError("the unary family has the all-equal BWT; nothing to predict")
-    runs = bwt_runs(perm, _split_boundaries(perm, required_splits(perm)))
+    runs = bwt_runs(perm, _canonical_boundaries(perm))
     return BwtProfile(expand_runs(runs), "predicted", runs)
 
 
@@ -354,7 +354,7 @@ def bwt_predict_ternary(perm: APPerm) -> BwtProfile:
     split construction keeps a third character for the final position while
     the canonical binary string merges it away.
     """
-    runs = bwt_runs(perm, synth_ternary(perm).split.boundaries)
+    runs = bwt_runs(perm, _ternary_boundaries(perm))
     return BwtProfile(expand_runs(runs), "predicted", runs)
 
 

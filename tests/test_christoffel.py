@@ -143,6 +143,20 @@ def test_word_properties_up_to_40():
         assert all(word[: i] != word[n - i :] for i in range(1, n))
 
 
+def cayley_word(p, q):
+    """Reference: character i is 'a' exactly when (i-1)q mod n < iq mod n, n = p + q."""
+    n = p + q
+    return "".join("a" if (i - 1) * q % n < i * q % n else "b" for i in range(1, n + 1))
+
+
+def test_word_and_bwt_match_cayley_formula_up_to_300():
+    for p, q in coprime_pairs(300, n_min=2):
+        word = christoffel_word(p, q)
+        assert word == cayley_word(p, q), (p, q)
+        bwt = christoffel_bwt(p, q)
+        assert bwt.runs == (("b", q), ("a", p)) and bwt.source == "predicted", (p, q)
+
+
 def test_adjacent_diff_examples():
     assert bwt_matrix_adjacent_diffs("ab") == [(1, 1), (1, 2)]
     diffs = bwt_matrix_adjacent_diffs("aababaababab")

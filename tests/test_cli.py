@@ -130,6 +130,24 @@ def test_corpus_verify_zero_based_candidate(tmp_path, capsys):
     assert code == 0 and "sa=pass" in out
 
 
+@pytest.mark.parametrize("flag, name", [("--sa", "binary3-n8.sa"), ("--bwt", "absent.bwt")])
+def test_corpus_verify_candidate_needs_id(tmp_path, capsys, flag, name):
+    # A candidate file belongs to one entry; checked against every entry it
+    # would fail the n=16 entry on its size, so --id is required.
+    out_dir = tmp_path / "corpus"
+    run(capsys, "corpus", "gen", "--out", str(out_dir), "--sizes", "8,16",
+        "--cases", "binary3", "--seed", "1")
+    manifest = str(out_dir / "manifest.txt")
+    code, out, err = run(capsys, "corpus", "verify", manifest, flag, str(out_dir / name))
+    assert code == 2, (out, err)
+    assert out == "" and "--id" in err
+    code, out, _ = run(
+        capsys, "corpus", "verify", manifest,
+        "--id", "binary3-n8", "--sa", str(out_dir / "binary3-n8.sa"),
+    )
+    assert code == 0 and out.strip().endswith("result=pass")
+
+
 def test_corpus_verify_missing_file(tmp_path, capsys):
     out_dir = tmp_path / "corpus"
     run(capsys, "corpus", "gen", "--out", str(out_dir), "--sizes", "8",

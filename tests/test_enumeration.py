@@ -11,6 +11,7 @@ from apsa.enumeration import (
     sigma_min,
 )
 from apsa.errors import AlphabetTooSmallError, SearchSpaceTooLargeError
+from apsa.textindex import suffix_array
 
 from helpers import ap_census, iter_ap_perms
 
@@ -133,3 +134,25 @@ def test_sigma_min_consistency():
             if smin > 1:
                 assert not brute_force_strings(perm, smin - 1)
             assert brute_force_strings(perm, smin)
+
+
+@pytest.mark.parametrize(
+    "perm, sigma",
+    [
+        (APPerm(16, 3, 5), 6),  # ternary
+        (APPerm(32, 5, 7), 5),  # ternary
+        (APPerm(40, 3, 40), 4),  # binary1
+        (APPerm(26, 7, 1), 5),  # binary3
+        (APPerm(24, 23, 24), 4),  # unary
+        (APPerm(36, 5, 6), 3),  # binary2
+    ],
+)
+def test_candidates_are_exact_beyond_the_census(perm, sigma):
+    # Sizes far beyond brute force: the construction alone yields exactly
+    # C(n + sigma - sigma_min, sigma - sigma_min) distinct strings, and the
+    # oracle accepts every one of them.
+    smin = sigma_min(perm)
+    target = tuple(ap_materialize(perm))
+    strings = list(candidate_strings(perm, sigma))
+    assert len(strings) == len(set(strings)) == comb(perm.n + sigma - smin, sigma - smin)
+    assert all(len(s) == perm.n and suffix_array(s).sa == target for s in strings)

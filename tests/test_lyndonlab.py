@@ -100,6 +100,18 @@ def test_left_factorization(word, factors):
     assert got.factors[0] < got.factors[1]
 
 
+def test_left_factorization_matches_prefix_scan():
+    # Reference: scan the proper prefixes from the longest down and keep the
+    # first Lyndon one.
+    for length in range(2, 11):
+        for tup in product("abc", repeat=length):
+            word = "".join(tup)
+            if not is_lyndon(word):
+                continue
+            cut = next(m for m in range(length - 1, 0, -1) if is_lyndon(word[:m]))
+            assert left_factorization(word).factors == (word[:cut], word[cut:]), word
+
+
 def test_factorizations_reject_bad_input():
     for fn in (right_factorization, left_factorization):
         with pytest.raises(ValueError):
