@@ -3,13 +3,16 @@
 Subcommands: synth, classify, christoffel, fib, enumerate, corpus gen,
 corpus verify.  Output is machine readable: space-separated key=value pairs,
 one record per line.  Exit codes: 0 success, 1 verification failure,
-2 invalid parameters, 3 I/O or file-format error.
+2 invalid parameters, 3 I/O or file-format error.  `enumerate` and `fib`
+exit 2 before doing any work when their record would exceed
+MAX_RECORD_CHARS characters.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from math import comb
 from typing import Optional, Sequence
 
 from . import corpus as corpus_mod
@@ -20,7 +23,7 @@ from .christoffel import (
     factorization_index,
 )
 from .core import APPerm, ap_detect
-from .enumeration import enumerate_strings
+from .enumeration import enumerate_strings, sigma_min
 from .errors import CorpusFormatError, NotCoprimeError
 from .lyndonlab import (
     fibonacci_lengths,
@@ -31,7 +34,11 @@ from .lyndonlab import (
 from .synthesis import classify, synth, synth_general
 from .textindex import bwt_runs, compact_runs, suffix_array
 
-__all__ = ["main"]
+__all__ = ["main", "MAX_RECORD_CHARS"]
+
+# Largest record `enumerate` or `fib` builds: the whole record is held in
+# memory before it prints, so a larger request would exhaust memory instead.
+MAX_RECORD_CHARS = 1 << 30
 
 
 def _perm_from_args(args) -> APPerm:
@@ -115,9 +122,18 @@ def _cmd_christoffel(args) -> int:
     return 0
 
 
+def _check_record_size(chars: int) -> None:
+    if chars > MAX_RECORD_CHARS:
+        raise ValueError(
+            f"record exceeds the limit of {MAX_RECORD_CHARS} characters (at least {chars})"
+        )
+
+
 def _cmd_fib(args) -> int:
+    # f_100 is far above the limit, so larger m need not be followed.
+    f = fibonacci_lengths(min(max(args.m, 2), 100))
+    _check_record_size(f[-1] * (1 + args.m % 2))  # odd m also prints the swapped word
     fw = fibonacci_word(args.m)
-    f = fibonacci_lengths(max(args.m, 2))
     ratio = f[args.m - 3] if args.m >= 3 else 1
     parts = [f"m={args.m}", f"word={fw.word}", f"length={fw.length}", f"ratio={ratio}"]
     if args.m % 2:
@@ -130,6 +146,9 @@ def _cmd_fib(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     perm = _perm_from_args(args)
+    free = args.sigma - sigma_min(perm)
+    if free >= 0:  # below that, enumerate_strings rejects the alphabet
+        _check_record_size(comb(perm.n + free, free) * perm.n)
     strings = list(enumerate_strings(perm, args.sigma))
     print(f"count={len(strings)} strings=[{','.join(strings)}]")
     return 0

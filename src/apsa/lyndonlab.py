@@ -3,9 +3,9 @@
 A Lyndon word is strictly least among its cyclic rotations, hence primitive
 and border-free.  Besides the classic greedy (Duval) factorization, Lyndon
 words admit a right factorization (split before the least proper suffix) and
-a left factorization (split after the longest proper Lyndon prefix); words
-where the two coincide at every recursion level are exactly the lower
-Christoffel words.
+a left factorization (split after the longest proper Lyndon prefix).  Over two
+letters the words where the two coincide at every level are exactly the lower
+Christoffel words; over more letters others qualify too, such as acb and abac.
 
 >>> is_lyndon("abcac")
 True
@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import APPerm
 from .errors import WrongParityError
 from .synthesis import synth_binary
-from .textindex import bwt_from_matrix, suffix_array
+from .textindex import bwt_from_matrix
 
 __all__ = [
     "Factorization",
@@ -93,15 +93,14 @@ def right_factorization(w: str) -> Factorization:
     """Split a Lyndon word before its lexicographically least proper suffix.
 
     Both factors are Lyndon and the left one is smaller.  The least proper
-    suffix of a Lyndon word starts at the second entry of its suffix array,
-    since the word itself occupies the first.
+    suffix of w is the least suffix of w[1:], which is the last Duval factor
+    of w[1:].
     """
     if len(w) < 2:
         raise ValueError("need at least two characters to factorize")
     if not is_lyndon(w):
         raise ValueError(f"{w!r} is not a Lyndon word")
-    sa = suffix_array(w).sa
-    cut = sa[1] - 1
+    cut = _right_cut(w)
     return Factorization((w[:cut], w[cut:]), "right")
 
 
@@ -114,31 +113,37 @@ def left_factorization(w: str) -> Factorization:
         raise ValueError("need at least two characters to factorize")
     if not is_lyndon(w):
         raise ValueError(f"{w!r} is not a Lyndon word")
-    cut = len(duval_factorization(w[:-1]).factors[0])
+    cut = _left_cut(w)
     return Factorization((w[:cut], w[cut:]), "left")
 
 
-def _balanced2_tree(w: str, memo: dict) -> Optional[Factorization]:
-    if w in memo:
-        return memo[w]
-    if len(w) == 1:
-        node = Factorization((w,), "balanced2-tree")
-    elif not is_lyndon(w):
-        node = None
-    else:
-        left = left_factorization(w).factors
-        right = right_factorization(w).factors
-        if left != right:
-            node = None
-        else:
-            u, v = (_balanced2_tree(part, memo) for part in left)
-            node = (
-                Factorization(left, "balanced2-tree", (u, v))
-                if u is not None and v is not None
-                else None
-            )
-    memo[w] = node
-    return node
+def _left_cut(w: str) -> int:
+    return len(duval_factorization(w[:-1]).factors[0])
+
+
+def _right_cut(w: str) -> int:
+    return len(w) - len(duval_factorization(w[1:]).factors[-1])
+
+
+def _balanced2_cuts(w: str) -> Optional[dict[str, int]]:
+    """The cut of every multi-character node of w's balanced2 tree, or None.
+
+    Both factors of a coinciding factorization of a Lyndon word are Lyndon,
+    so only the root is checked.  The tree is walked with an explicit stack:
+    a lower Christoffel word such as a b^1000 is a thousand levels deep.
+    """
+    if len(w) != 1 and not is_lyndon(w):
+        return None
+    cuts: dict[str, int] = {}
+    stack = [w]
+    while stack:
+        u = stack.pop()
+        if len(u) > 1 and u not in cuts:
+            cuts[u] = cut = _left_cut(u)
+            if cut != _right_cut(u):
+                return None
+            stack += (u[:cut], u[cut:])
+    return cuts
 
 
 def is_balanced2(w: str) -> bool:
@@ -147,17 +152,19 @@ def is_balanced2(w: str) -> bool:
     Single characters are balanced; multi-character non-Lyndon words are not
     (no error is raised for them).
     """
-    if not w:
-        raise ValueError("empty word")
-    return _balanced2_tree(w, {}) is not None
+    return _balanced2_cuts(w) is not None
 
 
 def balanced2_factorization(w: str) -> Factorization:
     """The recursive coinciding factorization, down to single characters."""
-    tree = _balanced2_tree(w, {})
-    if tree is None:
+    cuts = _balanced2_cuts(w)
+    if cuts is None:
         raise ValueError(f"{w!r} has no coinciding left/right factorization")
-    return tree
+    nodes = {ch: Factorization((ch,), "balanced2-tree") for ch in set(w)}
+    for u in sorted(cuts, key=len):  # children before their parents
+        left, right = u[: cuts[u]], u[cuts[u] :]
+        nodes[u] = Factorization((left, right), "balanced2-tree", (nodes[left], nodes[right]))
+    return nodes[w]
 
 
 def _check_binary(w: str) -> None:

@@ -10,6 +10,8 @@ from math import gcd
 
 import apsa
 from apsa.core import APPerm, ap_detect
+from apsa.lyndonlab import is_lyndon
+from apsa.textindex import suffix_array
 
 
 def naive_sa(text):
@@ -58,6 +60,47 @@ def ap_census(n, sigma):
         if perm is not None:
             buckets.setdefault(perm, set()).add(text)
     return buckets
+
+
+def balanced2_cuts_reference(w, cuts=None):
+    """The balanced2 tree by its recursive definition, without Duval.
+
+    Returns the cut of every multi-character node, keyed by the node's word,
+    or None when some node is not Lyndon or its two factorizations differ.
+    The right cut starts the least proper suffix, the second suffix-array
+    entry; the left cut ends the longest proper Lyndon prefix, found by
+    scanning the prefixes from the longest down.  Recursive and cubic, so
+    for short words only.
+    """
+    cuts = {} if cuts is None else cuts
+    if len(w) == 1 or w in cuts:
+        return cuts
+    if not is_lyndon(w):
+        return None
+    right = suffix_array(w).sa[1] - 1
+    left = next(m for m in range(len(w) - 1, 0, -1) if is_lyndon(w[:m]))
+    if left != right:
+        return None
+    cuts[w] = left
+    for part in (w[:left], w[left:]):
+        if balanced2_cuts_reference(part, cuts) is None:
+            return None
+    return cuts
+
+
+def balanced2_tree_cuts(tree):
+    """The cut of every internal node of a balanced2 Factorization tree.
+
+    Walks the tree with an explicit stack, since deep trees outgrow the
+    recursion limit.
+    """
+    cuts, stack = {}, [tree]
+    while stack:
+        node = stack.pop()
+        if node.children and node.word not in cuts:
+            cuts[node.word] = len(node.factors[0])
+            stack.extend(node.children)
+    return cuts
 
 
 def run_capped(code):

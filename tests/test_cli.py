@@ -88,6 +88,35 @@ def test_enumerate(capsys):
     assert out.strip() == "count=1 strings=[babbabac]"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "-n", "1000", "-k", "3", "--p1", "5", "--sigma", "6"],  # ~1.7e11 characters
+        ["enumerate", "-n", "1000000000000", "-k", "1", "--p1", "1", "--sigma", "3"],
+        ["fib", "-m", "45"],  # f_45 ~ 1.1e9, printed twice
+        ["fib", "-m", "100"],
+        ["fib", "-m", "1000000000"],
+    ],
+)
+def test_oversized_records_exit_2_before_any_work(argv):
+    from helpers import run_capped
+
+    proc = run_capped(f"import sys\nfrom apsa.cli import main\nsys.exit(main({argv!r}))\n")
+    assert proc.returncode == 2, proc.stderr
+    assert "exceeds the limit" in proc.stderr
+
+
+def test_record_limit_is_inclusive(capsys, monkeypatch):
+    import apsa.cli
+
+    monkeypatch.setattr(apsa.cli, "MAX_RECORD_CHARS", 8)
+    assert run(capsys, "fib", "-m", "6")[0] == 0  # 8 characters
+    assert run(capsys, "fib", "-m", "5")[0] == 2  # 5 characters, twice
+    assert run(capsys, "enumerate", "-n", "8", "-k", "5", "--p1", "5", "--sigma", "3")[0] == 0
+    code, _, err = run(capsys, "enumerate", "-n", "8", "-k", "5", "--p1", "5", "--sigma", "4")
+    assert code == 2 and "exceeds the limit" in err  # C(9, 1) strings of 8
+
+
 def test_corpus_round_trip(tmp_path, capsys):
     out_dir = tmp_path / "corpus"
     code, out, _ = run(

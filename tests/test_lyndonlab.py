@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from apsa.christoffel import christoffel_word
+from apsa.christoffel import christoffel_word, factorization_index
 from apsa.core import APPerm, ap_detect
 from apsa.errors import WrongParityError
 from apsa.lyndonlab import (
@@ -112,6 +112,18 @@ def test_left_factorization_matches_prefix_scan():
             assert left_factorization(word).factors == (word[:cut], word[cut:]), word
 
 
+def test_right_factorization_matches_suffix_array_cut():
+    # Reference: the least proper suffix of a Lyndon word is the second entry
+    # of its suffix array, since the word itself is the first.
+    for length in range(2, 11):
+        for tup in product("abc", repeat=length):
+            word = "".join(tup)
+            if not is_lyndon(word):
+                continue
+            cut = suffix_array(word).sa[1] - 1
+            assert right_factorization(word).factors == (word[:cut], word[cut:]), word
+
+
 def test_factorizations_reject_bad_input():
     for fn in (right_factorization, left_factorization):
         with pytest.raises(ValueError):
@@ -125,6 +137,47 @@ def test_balanced2_examples():
     assert is_balanced2("a") is True
     assert is_balanced2("ba") is False  # multi-character non-Lyndon word
     assert is_balanced2("aababb") is False  # left (aabab)(b) != right (a)(ababb)
+
+
+def test_balanced2_beyond_two_letters():
+    # Coinciding factorizations at every level do not force a binary word.
+    assert is_balanced2("acb") is True  # (ac)(b), then (a)(c)
+    assert is_balanced2("abac") is True  # (ab)(ac), then (a)(b) and (a)(c)
+
+
+DEEP_CHRISTOFFEL = [(1, 1000), (1000, 1001), (1000, 2001)]
+
+
+@pytest.mark.parametrize("p, q", DEEP_CHRISTOFFEL)
+def test_is_balanced2_on_deep_christoffel_trees(p, q):
+    # The tree of a b^1000 is a thousand levels deep; recursion overflowed.
+    assert is_balanced2(christoffel_word(p, q)) is True
+
+
+@pytest.mark.parametrize("p, q", DEEP_CHRISTOFFEL)
+def test_balanced2_factorization_on_deep_christoffel_trees(p, q):
+    tree = balanced2_factorization(christoffel_word(p, q))
+    assert len(tree.factors[0]) == factorization_index(p, q)
+
+
+@pytest.mark.parametrize("p, q", [(1, 300), (100, 101), (100, 201), (55, 89)])
+def test_balanced2_tree_nodes_are_both_factorizations(p, q):
+    # `==` and `repr` recurse on deep trees, so the nodes are walked with a
+    # stack and compared one at a time.
+    tree = balanced2_factorization(christoffel_word(p, q))
+    stack, internal = [tree], 0
+    while stack:
+        node = stack.pop()
+        assert node.kind == "balanced2-tree"
+        if not node.children:
+            assert len(node.factors) == 1 and len(node.factors[0]) == 1
+            continue
+        internal += 1
+        assert node.factors == left_factorization(node.word).factors
+        assert node.factors == right_factorization(node.word).factors
+        assert tuple(child.word for child in node.children) == node.factors
+        stack.extend(node.children)
+    assert internal == p + q - 1
 
 
 def test_balanced2_tree_structure():

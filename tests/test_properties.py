@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from apsa.christoffel import christoffel_word
 from apsa.core import APPerm, ap_array, ap_materialize
 from apsa.corpus import entry_text_bytes, predicted_bwt_runs
-from apsa.lyndonlab import balanced_via_bwt, is_balanced
+from apsa.lyndonlab import balanced2_factorization, balanced_via_bwt, is_balanced, is_balanced2
 from apsa.synthesis import (
     _split_boundaries,
     _text_codes,
@@ -33,7 +33,7 @@ from apsa.textindex import (
     suffix_array,
 )
 
-from helpers import naive_matrix_bwt
+from helpers import balanced2_cuts_reference, balanced2_tree_cuts, naive_matrix_bwt
 
 MAX_N = 3000
 
@@ -155,6 +155,33 @@ def binary_words(draw):
 @given(binary_words())
 def test_is_balanced_matches_bwt_clustering(word):
     assert is_balanced(word) == balanced_via_bwt(word)
+
+
+@st.composite
+def balanced2_candidates(draw):
+    """Words over 1-4 letters up to 40 characters, lower Christoffel words up
+    to p + q = 300, and those words with one letter changed."""
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["random", "christoffel", "near_miss"]))
+    if kind == "random":
+        alphabet = "abcd"[: draw(st.integers(1, 4))]
+        return random_text(rnd, draw(st.integers(1, 40)), alphabet)
+    n = draw(st.integers(1, 300))
+    p = draw(st.integers(0, n).filter(lambda p: gcd(p, n - p) == 1))
+    word = christoffel_word(p, n - p)
+    if kind == "near_miss":
+        i = rnd.randrange(n)
+        word = word[:i] + rnd.choice([c for c in "abc" if c != word[i]]) + word[i + 1 :]
+    return word
+
+
+@bounded
+@given(balanced2_candidates())
+def test_balanced2_matches_recursive_reference(word):
+    want = balanced2_cuts_reference(word)
+    assert is_balanced2(word) == (want is not None)
+    if want is not None:
+        assert balanced2_tree_cuts(balanced2_factorization(word)) == want
 
 
 @st.composite
