@@ -82,6 +82,8 @@ from .textindex import (
     expand_runs,
     inverse_sa,
     parse_compact_runs,
+    progression_holds,
+    progression_of,
     rotate_runs,
     run_count,
     runs_of,

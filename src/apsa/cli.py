@@ -3,9 +3,9 @@
 Subcommands: synth, classify, christoffel, fib, enumerate, corpus gen,
 corpus verify.  Output is machine readable: space-separated key=value pairs,
 one record per line.  Exit codes: 0 success, 1 verification failure,
-2 invalid parameters, 3 I/O or file-format error.  `enumerate` and `fib`
-exit 2 before doing any work when their record would exceed
-MAX_RECORD_CHARS characters.
+2 invalid parameters, 3 I/O or file-format error.  `christoffel`,
+`enumerate` and `fib` exit 2 before doing any work when their record would
+exceed MAX_RECORD_CHARS characters.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import sys
 from math import comb
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import corpus as corpus_mod
 from .christoffel import (
     christoffel_bwt,
@@ -22,7 +24,7 @@ from .christoffel import (
     christoffel_word,
     factorization_index,
 )
-from .core import APPerm, ap_detect
+from .core import APPerm, ap_array, ap_inverse
 from .enumeration import enumerate_strings, sigma_min
 from .errors import CorpusFormatError, NotCoprimeError
 from .lyndonlab import (
@@ -32,12 +34,13 @@ from .lyndonlab import (
     is_balanced,
 )
 from .synthesis import classify, synth, synth_general
-from .textindex import bwt_runs, compact_runs, suffix_array
+from .textindex import _codes_of, _successor_lcp, bwt_runs, compact_runs, progression_of
 
 __all__ = ["main", "MAX_RECORD_CHARS"]
 
-# Largest record `enumerate` or `fib` builds: the whole record is held in
-# memory before it prints, so a larger request would exhaust memory instead.
+# Largest record `christoffel`, `enumerate` or `fib` builds: the whole record
+# is held in memory before it prints, so a larger request would exhaust memory
+# instead.
 MAX_RECORD_CHARS = 1 << 30
 
 
@@ -64,18 +67,22 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _smallest_period(text: str) -> Optional[int]:
-    n = len(text)
-    fail = [0] * (n + 1)
-    j = 0
-    for i in range(2, n + 1):
-        while j and text[i - 1] != text[j]:
-            j = fail[j]
-        if text[i - 1] == text[j]:
-            j += 1
-        fail[i] = j
-    period = n - fail[n]
-    return period if period < n else None
+def _smallest_period(text: str, perm: APPerm) -> Optional[int]:
+    """Smallest period of a text whose suffix array is P, or None when it is n.
+
+    A border is a suffix ranked below the whole text whose longest common
+    prefix with the text is its own length; that prefix is the minimum of the
+    adjacent suffixes' LCPs from its rank up to the text's.  The period is
+    the smallest border start (0-based).
+    """
+    top = ap_inverse(perm).p1  # the whole text's rank
+    if top == 1:
+        return None
+    below = ap_array(perm, 0, top - 1)
+    reach = _successor_lcp(_codes_of(text), perm)[below - 1]
+    reach = np.minimum.accumulate(reach[::-1])[::-1]
+    borders = below[reach == perm.n + 1 - below]
+    return int(borders.min()) - 1 if borders.size else None
 
 
 def _cmd_classify(args) -> int:
@@ -83,7 +90,7 @@ def _cmd_classify(args) -> int:
     if not text:
         print("error: empty text", file=sys.stderr)
         return 2
-    perm = ap_detect(suffix_array(text).sa)
+    perm = progression_of(text)
     if perm is None:
         print("ap=false")
         return 0
@@ -94,7 +101,7 @@ def _cmd_classify(args) -> int:
         f"p1={perm.p1}",
         f"case={classify(perm)[0].value}",
     ]
-    period = _smallest_period(text)
+    period = _smallest_period(text, perm)
     if period is not None:
         parts.append(f"period={period}")
     # A word is Lyndon exactly when its suffix array starts with 1.
@@ -106,6 +113,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_christoffel(args) -> int:
+    _check_record_size(args.p + args.q)
     word = christoffel_word(args.p, args.q)
     parts = [f"word={word}", f"n={len(word)}"]
     if args.p >= 1 and args.q >= 1:

@@ -25,18 +25,33 @@ many characters as an int64 holds, so doubling starts at step c instead of
 sorts the rotations for the matrix BWT in O(n log n) time and O(n) memory.
 Linear-time construction is out of scope here on purpose: these are
 desk-scale reference oracles.
+
+Whether a text has a progressed suffix array needs no sort.  The
+progression P = (n, k, p1) is the suffix array of T exactly when every pair
+of adjacent entries a, b = a + k (mod n) satisfies
+(T[a], ISA[a + 1]) < (T[b], ISA[b + 1]), where ISA is the closed form
+(i - last) * k^{-1} mod n and the empty suffix ranks 0.
+:func:`progression_holds` reads that certificate in text order, so each
+2^20-position chunk compares two contiguous slices.  :func:`progression_of`
+finds the only candidate from letter counts: the last suffix ranks
+1 + #{j : T[j] < T[n]}, the one before it also counts the suffixes that
+start with T[n - 1] and continue below T[n], and the two ranks differ by
+k^{-1}.  Once P is known, the longest common prefix of the suffix at a with
+the next one in P, at a + k or a + k - n, is the run of T[i] == T[i + k] or
+T[i] == T[i + k - n] starting at a (:func:`_successor_lcp`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import pairwise
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import APPerm
+from .core import APPerm, ap_array, ap_inverse, canonical_residue
 from .errors import UnsupportedCaseError
 from .synthesis import _canonical_boundaries, _rank_alphabet, _ternary_boundaries
 
@@ -44,6 +59,8 @@ __all__ = [
     "SuffixArrayView",
     "BwtProfile",
     "suffix_array",
+    "progression_holds",
+    "progression_of",
     "inverse_sa",
     "bwt_from_sa",
     "bwt_from_matrix",
@@ -60,6 +77,7 @@ __all__ = [
 ]
 
 _NUMPY_THRESHOLD = 2048
+_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -272,6 +290,95 @@ def suffix_array(text: str) -> SuffixArrayView:
         order = _doubling_small([ord(c) for c in text])
         sa = tuple(i + 1 for i in order)
     return SuffixArrayView(text, sa)
+
+
+def _suffix_ranks(inverse: APPerm, start: int, stop: int) -> np.ndarray:
+    """Ranks of the suffixes at 0-based positions [start, stop); the empty suffix, at n, ranks 0."""
+    ranks = ap_array(inverse, start, min(stop, inverse.n))
+    return np.append(ranks, 0) if stop > inverse.n else ranks
+
+
+def progression_holds(codes: np.ndarray, perm: APPerm) -> bool:
+    """True when P is the suffix array of the text with these codes.
+
+    `codes` is one text's codes, or a matrix with one text per row, in which
+    case P must be the suffix array of every row.  Any integer codes that
+    order like the characters will do.  Reads the certificate of the module
+    docstring in text order: position a is followed in P by a + k, or by
+    a + k - n once a + k passes the end, so each chunk compares one slice of
+    the codes with another k positions on.  The final entry of P has no
+    successor and is exempt.  Stops at the first failing chunk.
+    """
+    n, k = perm.n, perm.k
+    if codes.shape[-1] != n:
+        raise ValueError(f"text length {codes.shape[-1]} != progression length {n}")
+    if n == 1:
+        return True
+    inverse = ap_inverse(perm)
+    exempt = perm.last - 1
+    for lo, hi, shift in ((0, n - k, k), (n - k, n, k - n)):
+        for start in range(lo, hi, _CHUNK):
+            stop = min(start + _CHUNK, hi)
+            here = codes[..., start:stop]
+            there = codes[..., start + shift : stop + shift]
+            rank_here = _suffix_ranks(inverse, start + 1, stop + 1)
+            rank_there = _suffix_ranks(inverse, start + shift + 1, stop + shift + 1)
+            ok = (here < there) | ((here == there) & (rank_here < rank_there))
+            if start <= exempt < stop:
+                ok[..., exempt - start] = True
+            if not ok.all():
+                return False
+    return True
+
+
+def progression_of(text: str) -> Optional[APPerm]:
+    """The progression that is the suffix array of `text`, or None if it has none.
+
+    No suffix sort: letter counts give the ranks of the last two suffixes,
+    whose difference is k^{-1}, and the one candidate they name is checked
+    with :func:`progression_holds`.  Works over any alphabet.
+    """
+    n = len(text)
+    if n == 0:
+        raise ValueError("empty text has no suffix array")
+    if n == 1:
+        return APPerm(1, 1, 1)
+    codes = _codes_of(text)
+    x, y = int(codes[-1]), int(codes[-2])
+    rank_last = 1 + int(np.count_nonzero(codes < x))
+    rank_before = (
+        1
+        + int(np.count_nonzero(codes < y))
+        + int(np.count_nonzero((codes[:-1] == y) & (codes[1:] < x)))
+        + (x == y)
+    )
+    k_inverse = (rank_last - rank_before) % n
+    if gcd(k_inverse, n) != 1:
+        return None
+    k = pow(k_inverse, -1, n)
+    perm = APPerm(n, k, canonical_residue(n + (1 - rank_last) * k, n))
+    return perm if progression_holds(codes, perm) else None
+
+
+def _successor_lcp(codes: np.ndarray, perm: APPerm) -> np.ndarray:
+    """For each 0-based position a, the longest common prefix of suffix a and suffix a + k mod n.
+
+    When P is the suffix array of the text these are the LCPs of adjacent
+    suffixes, in text order; the entry at the final entry of P pairs it with
+    the first and means nothing.  Each is the run of equal characters from
+    a, compared k positions on (k - n once past the end), and stops at the
+    end of the text; one reversed minimum accumulation finds every run.
+    """
+    n, k = perm.n, perm.k
+    equal = np.empty(n, dtype=bool)
+    np.equal(codes[: n - k], codes[k:], out=equal[: n - k])
+    np.equal(codes[n - k :], codes[:k], out=equal[n - k :])
+    positions = np.arange(n, dtype=np.int64)
+    # Where each run ends: the first unequal position, or the end of its slice.
+    ends = np.full(n, n, dtype=np.int64)
+    ends[: n - k] = n - k
+    np.copyto(ends, positions, where=~equal)
+    return np.minimum.accumulate(ends[::-1])[::-1] - positions
 
 
 def inverse_sa(sa: Sequence[int]) -> list[int]:

@@ -62,6 +62,24 @@ def ap_census(n, sigma):
     return buckets
 
 
+def smallest_period_reference(text):
+    """Smallest period of `text` by the KMP failure function, or None when it is len(text).
+
+    Pure Python and independent of any suffix array.
+    """
+    n = len(text)
+    fail = [0] * (n + 1)
+    j = 0
+    for i in range(2, n + 1):
+        while j and text[i - 1] != text[j]:
+            j = fail[j]
+        if text[i - 1] == text[j]:
+            j += 1
+        fail[i] = j
+    period = n - fail[n]
+    return period if period < n else None
+
+
 def balanced2_cuts_reference(w, cuts=None):
     """The balanced2 tree by its recursive definition, without Duval.
 

@@ -278,3 +278,21 @@ def test_corpus_verify_malformed_manifest_exits_3(tmp_path, capsys, key, value):
     assert code == 3, (out, err)
     assert out == ""
     assert "manifest.txt:" in err
+
+
+def test_oversized_christoffel_exits_2_before_any_work():
+    from helpers import run_capped
+
+    argv = ["christoffel", "-p", "1000000000", "-q", "1000000001"]
+    proc = run_capped(f"import sys\nfrom apsa.cli import main\nsys.exit(main({argv!r}))\n")
+    assert proc.returncode == 2, proc.stderr
+    assert "exceeds the limit" in proc.stderr
+
+
+def test_christoffel_record_limit_is_inclusive(capsys, monkeypatch):
+    import apsa.cli
+
+    monkeypatch.setattr(apsa.cli, "MAX_RECORD_CHARS", 12)
+    assert run(capsys, "christoffel", "-p", "7", "-q", "5")[0] == 0  # 12 characters
+    code, _, err = run(capsys, "christoffel", "-p", "7", "-q", "6")
+    assert code == 2 and "exceeds the limit" in err
