@@ -45,6 +45,7 @@ from .lyndonlab import (
     FibonacciWord,
     balanced2_factorization,
     balanced_via_bwt,
+    balanced_via_slope,
     duval_factorization,
     fibonacci_closed_form,
     fibonacci_lengths,

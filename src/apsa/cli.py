@@ -5,7 +5,7 @@ corpus verify.  Output is machine readable: space-separated key=value pairs,
 one record per line.  Exit codes: 0 success, 1 verification failure,
 2 invalid parameters, 3 I/O or file-format error.  `christoffel`,
 `enumerate` and `fib` exit 2 before doing any work when their record would
-exceed MAX_RECORD_CHARS characters.
+exceed MAX_RECORD_CHARS characters.  `enumerate` streams its record.
 """
 
 from __future__ import annotations
@@ -25,22 +25,22 @@ from .christoffel import (
     factorization_index,
 )
 from .core import APPerm, ap_array, ap_inverse
-from .enumeration import enumerate_strings, sigma_min
+from .enumeration import enumerate_strings
 from .errors import CorpusFormatError, NotCoprimeError
 from .lyndonlab import (
+    balanced_via_slope,
     fibonacci_lengths,
     fibonacci_swapped,
     fibonacci_word,
-    is_balanced,
 )
-from .synthesis import classify, synth, synth_general
+from .synthesis import _require_alphabet, classify, synth, synth_general
 from .textindex import _codes_of, _successor_lcp, bwt_runs, compact_runs, progression_of
 
 __all__ = ["main", "MAX_RECORD_CHARS"]
 
-# Largest record `christoffel`, `enumerate` or `fib` builds: the whole record
-# is held in memory before it prints, so a larger request would exhaust memory
-# instead.
+# Largest record `christoffel`, `enumerate` or `fib` prints.  The first and
+# last hold the whole record in memory before it prints, so a larger request
+# would exhaust memory instead.
 MAX_RECORD_CHARS = 1 << 30
 
 
@@ -107,7 +107,7 @@ def _cmd_classify(args) -> int:
     # A word is Lyndon exactly when its suffix array starts with 1.
     parts.append(f"lyndon={'true' if perm.p1 == 1 else 'false'}")
     if set(text) <= {"a", "b"}:
-        parts.append(f"balanced={'true' if is_balanced(text) else 'false'}")
+        parts.append(f"balanced={'true' if balanced_via_slope(text) else 'false'}")
     print(" ".join(parts))
     return 0
 
@@ -154,11 +154,16 @@ def _cmd_fib(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     perm = _perm_from_args(args)
-    free = args.sigma - sigma_min(perm)
-    if free >= 0:  # below that, enumerate_strings rejects the alphabet
-        _check_record_size(comb(perm.n + free, free) * perm.n)
-    strings = list(enumerate_strings(perm, args.sigma))
-    print(f"count={len(strings)} strings=[{','.join(strings)}]")
+    free = args.sigma - _require_alphabet(perm, args.sigma)[1]
+    count = comb(perm.n + free, free)
+    _check_record_size(count * perm.n)
+    sys.stdout.write(f"count={count} strings=[")
+    yielded = 0
+    for yielded, text in enumerate(enumerate_strings(perm, args.sigma), 1):
+        sys.stdout.write("," + text if yielded > 1 else text)
+    if yielded != count:
+        raise RuntimeError(f"enumerated {yielded} strings, expected {count}")
+    sys.stdout.write("]\n")
     return 0
 
 

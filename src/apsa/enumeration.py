@@ -11,12 +11,14 @@ so no composition is built and then discarded; counting gives binomial bounds:
 * at most n (n - 1) times that over all progressions of length n.
 
 The bounds are not always tight, so exact numbers are reported by generation
-and bounds separately, never conflated.  Candidates are built in batches, a
-rows x n rank matrix of about 2^20 cells with one composition per row, and
-:func:`enumerate_strings` checks each batch with the O(n) progression
-certificate (:func:`apsa.textindex.progression_holds`) before yielding it.
-The construction argues the check can never fail, so a batch that fails it
-raises instead of being skipped.
+and bounds separately, never conflated.  Candidates are built in batches of
+about 2^20 cells: a matrix of compositions, one per row, goes through the
+one split-construction builder of :mod:`apsa.synthesis`
+(:func:`apsa.synthesis._text_codes`, which also builds :func:`apsa.synth`'s
+texts and the corpus), and each batch is checked with the O(n) progression
+certificate (:func:`apsa.textindex.progression_holds`) before its strings
+are yielded.  The construction argues the check can never fail, so a batch
+that fails it raises instead of being skipped.
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import APPerm, ap_array, ap_inverse, ap_materialize
-from .errors import AlphabetTooSmallError, SearchSpaceTooLargeError
-from .synthesis import _canonical_boundaries, _rank_alphabet, classify
+from .core import APPerm, ap_materialize
+from .errors import SearchSpaceTooLargeError
+from .synthesis import (
+    _canonical_boundaries, _rank_alphabet, _require_alphabet, _text_codes, _text_of, classify
+)
 from .textindex import progression_holds, suffix_array
 
 __all__ = [
@@ -92,43 +96,21 @@ def _compositions(perm: APPerm, sigma: int, rows: int) -> Iterator[np.ndarray]:
         yield merged
 
 
-def _require_alphabet(perm: APPerm, sigma: int) -> int:
-    """sigma_min of P, after checking that sigma reaches it."""
-    smin = sigma_min(perm)
-    if sigma < smin:
-        raise AlphabetTooSmallError(
-            f"alphabet size {sigma} below the required minimum {smin}"
-        )
-    return smin
-
-
-def _candidates(perm: APPerm, sigma: int, certify: bool) -> Iterator[str]:
+def candidate_strings(perm: APPerm, sigma: int) -> Iterator[str]:
     """Every split refinement as a string, in composition order.
 
-    Position i of a row takes rank #{b in the composition : b < isa[i]}, the
-    rank rule of :func:`apsa.synthesis._text_codes` counted from 0, read off
-    the row's running count of boundaries per value.  A batch holds about
-    2^20 cells.  With `certify`, each batch must pass the progression
-    certificate.
+    Each batch of compositions, about 2^20 cells, is built into one text per
+    row by :func:`apsa.synthesis._text_codes` and must pass the progression
+    certificate before its strings are yielded.
     """
     _require_alphabet(perm, sigma)
     n = perm.n
-    isa = ap_array(ap_inverse(perm))
-    alphabet = np.frombuffer(_rank_alphabet(sigma).encode("utf-32-le"), dtype=np.uint32)
     for boundaries in _compositions(perm, sigma, max(1, _BATCH_CELLS // (n + sigma))):
-        rows = len(boundaries)
-        cells = boundaries + (n + 1) * np.arange(rows)[:, None]  # (row, value) cells
-        at_most = np.bincount(cells.ravel(), minlength=rows * (n + 1))
-        ranks = at_most.reshape(rows, n + 1).cumsum(axis=1)[:, isa - 1]
-        if certify and not progression_holds(ranks, perm):
+        codes = _text_codes(perm, boundaries)
+        if not progression_holds(codes, perm):
             raise RuntimeError("a split refinement fails the progression certificate")
-        joined = alphabet[ranks].tobytes().decode("utf-32-le")
+        joined = _text_of(codes)
         yield from (joined[i : i + n] for i in range(0, len(joined), n))
-
-
-def candidate_strings(perm: APPerm, sigma: int) -> Iterator[str]:
-    """All split refinements as strings, without the certificate."""
-    yield from _candidates(perm, sigma, certify=False)
 
 
 def enumerate_strings(perm: APPerm, sigma: int) -> Iterator[str]:
@@ -136,11 +118,12 @@ def enumerate_strings(perm: APPerm, sigma: int) -> Iterator[str]:
 
     Candidates come from split refinements (empty character classes
     included); every batch passes the progression certificate before its
-    strings are yielded.
+    strings are yielded, and no more than the stars-and-bars bound may come.
     """
-    bound = count_bounds(perm.n, sigma, _require_alphabet(perm, sigma)).bound_fixed_perm
+    _, smin = _require_alphabet(perm, sigma)
+    bound = count_bounds(perm.n, sigma, smin).bound_fixed_perm
     yielded = 0
-    for text in _candidates(perm, sigma, certify=True):
+    for text in candidate_strings(perm, sigma):
         yielded += 1
         if yielded > bound:
             raise RuntimeError(

@@ -37,6 +37,7 @@ __all__ = [
     "balanced2_factorization",
     "is_balanced",
     "balanced_via_bwt",
+    "balanced_via_slope",
     "fibonacci_word",
     "fibonacci_lengths",
     "fibonacci_closed_form",
@@ -206,6 +207,23 @@ def balanced_via_bwt(w: str) -> bool:
     """
     _check_binary(w)
     return "ab" not in bwt_from_matrix(w).chars
+
+
+def balanced_via_slope(w: str) -> bool:
+    """Balance check in O(n) without a sort: w keeps within one step of its slope.
+
+    With c(i) 'a's among the first i letters and m in all, the cyclic window
+    [i, i + L) holds (D(i + L) - D(i) + L m) / n of them, where
+    D(i) = n c(i) - i m repeats with period n.  So every window length sees
+    at most two adjacent counts when max D - min D < n.  Otherwise a window
+    holds at least L m / n + 1, and as the n windows of its length average
+    L m / n, another holds at least two fewer.
+    """
+    _check_binary(w)
+    n = len(w)
+    counts = np.cumsum(np.frombuffer(w.encode("ascii"), dtype=np.uint8) == ord("a"), dtype=np.int64)
+    drift = n * counts - np.arange(1, n + 1) * counts[-1]  # D(1), ..., D(n) = D(0)
+    return int(np.ptp(drift)) < n
 
 
 @dataclass(frozen=True)

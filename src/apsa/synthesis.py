@@ -16,10 +16,13 @@ value v" (value space) and "after index i of P" (index space).  Each closed
 form has one home here: :func:`required_splits` gives the forced split
 values, :func:`_split_boundaries` is the only conversion from value space to
 index space (:func:`_canonical_boundaries` and :func:`_ternary_boundaries`
-name its two uses), and :func:`_text_codes` is the only text builder, reading
-each character's rank off the inverse suffix array (:func:`apsa.core.ap_array`
-of :func:`apsa.core.ap_inverse`).  :func:`binary_closed_form` re-derives the
-binary strings independently for cross-checking.
+name its two uses), :func:`synth` sets the split index s and the period n - k,
+and :func:`_text_codes` is the only text builder: it reads each character's
+rank off the inverse suffix array (:func:`apsa.core.ap_array` of
+:func:`apsa.core.ap_inverse`) for one split (synthesis, the corpus) or a
+matrix of them (:mod:`apsa.enumeration`), and :func:`_text_of` decodes its
+codes.  :func:`binary_closed_form` re-derives the binary strings
+independently for cross-checking.
 """
 
 from __future__ import annotations
@@ -180,25 +183,41 @@ def _ternary_boundaries(perm: APPerm) -> tuple[int, ...]:
 
 
 def _text_codes(
-    perm: APPerm, boundaries: Sequence[int], start: int = 0, stop: Optional[int] = None
+    perm: APPerm, boundaries: Sequence[int] | np.ndarray, start: int = 0, stop: Optional[int] = None
 ) -> np.ndarray:
     """Character codes, positions [start, stop), of the text split at boundaries of P.
 
-    Position i takes rank 1 + #{b in boundaries : isa[i] > b}, where isa is
-    the inverse of P.  Up to 26 ranks the codes of 'a'..'z' are accumulated
-    one boundary at a time in one byte each.  Above that each position finds
-    its rank by binary search of the boundaries, O(n log sigma), and reads
-    its code off :func:`_rank_alphabet`.  stop defaults to n.
+    `boundaries` is one sorted row of m boundaries, or a (rows, m) matrix of
+    them, one text per row.  Position i takes rank 1 + #{b in the row :
+    isa[i] > b}, isa being the inverse of P.  Up to 26 ranks the codes of
+    'a'..'z' are accumulated one boundary column at a time in one byte each.
+    Above that one binary search, O(n log sigma), finds every rank (row r
+    shifted by r (n + 1), so all rows form one sorted array, less the r m
+    boundaries before it) and reads its code off :func:`_rank_alphabet`.
+    stop defaults to n.
     """
     stop = perm.n if stop is None else stop
-    isa = ap_array(ap_inverse(perm), start, stop) if boundaries else None
-    if len(boundaries) < 26:
-        codes = np.full(stop - start, ord("a"), dtype=np.uint8)
-        for b in boundaries:
-            codes += isa > b
+    bounds = np.asarray(boundaries, dtype=np.int64)
+    m = bounds.shape[-1]
+    isa = ap_array(ap_inverse(perm), start, stop) if m else None
+    if m < 26:
+        codes = np.full(bounds.shape[:-1] + (stop - start,), ord("a"), dtype=np.uint8)
+        for b in bounds.T:
+            codes += isa > b[..., None]
         return codes
-    alphabet = _rank_alphabet(len(boundaries) + 1).encode("utf-32-le")
-    return np.frombuffer(alphabet, dtype=np.uint32)[np.searchsorted(boundaries, isa)]
+    if bounds.ndim == 1:
+        ranks = np.searchsorted(bounds, isa)
+    else:
+        row = np.arange(len(bounds))[:, None]
+        ranks = np.searchsorted((bounds + row * (perm.n + 1)).ravel(), isa + row * (perm.n + 1))
+        ranks -= row * m
+    alphabet = _rank_alphabet(m + 1).encode("utf-32-le")
+    return np.frombuffer(alphabet, dtype=np.uint32)[ranks]
+
+
+def _text_of(codes: np.ndarray) -> str:
+    """The text of character codes: one byte each (latin-1) or four (UTF-32)."""
+    return codes.tobytes().decode("latin-1" if codes.itemsize == 1 else "utf-32-le")
 
 
 def _result(
@@ -213,8 +232,7 @@ def _result(
     p_s is the entry of P at the first boundary, or its final entry when
     there is no boundary.
     """
-    codes = _text_codes(perm, boundaries)
-    text = codes.tobytes().decode("latin-1" if codes.itemsize == 1 else "utf-32-le")
+    text = _text_of(_text_codes(perm, boundaries))
     b0 = boundaries[0] if boundaries else perm.n
     p_s = canonical_residue(perm.p1 + (b0 - 1) * perm.k, perm.n)
     return SynthResult(text, case, SplitSpec(boundaries), s, p_s, period)
@@ -228,10 +246,9 @@ def synth_ternary(perm: APPerm) -> SynthResult:
     the output is binary; for the reversal the construction does not apply.
     """
     boundaries = _ternary_boundaries(perm)
-    case, _ = classify(perm)
-    s = boundaries[0] if case in (SynthCase.BINARY1, SynthCase.BINARY3) else None
-    period = perm.n - perm.k if case is SynthCase.BINARY1 else None
-    return _result(perm, case, boundaries, s, period)
+    if len(boundaries) == 1:  # p1 in {1, n}: the canonical binary string
+        return synth(perm)
+    return _result(perm, classify(perm)[0], boundaries)
 
 
 def synth_binary(perm: APPerm) -> SynthResult:
@@ -251,9 +268,7 @@ def synth_binary(perm: APPerm) -> SynthResult:
             f"first entry {perm.p1} not in {{1, {perm.k + 1}, {perm.n}}};"
             " no binary string has this suffix array"
         )
-    boundaries = _canonical_boundaries(perm)
-    period = perm.n - perm.k if case in (SynthCase.BINARY1, SynthCase.BINARY2) else None
-    return _result(perm, case, boundaries, boundaries[0], period)
+    return synth(perm)
 
 
 def binary_closed_form(perm: APPerm) -> str:
@@ -296,14 +311,24 @@ def synth_unary_family(n: int, sigma: int) -> Iterator[str]:
 
 
 def synth(perm: APPerm) -> SynthResult:
-    """Canonical minimal-alphabet string for P, dispatching on the case."""
-    case, _ = classify(perm)
-    if case is SynthCase.UNARY:
-        period = perm.n - perm.k if perm.n > 1 else None
-        return _result(perm, case, (), period=period)
-    if case is SynthCase.TERNARY:
-        return synth_ternary(perm)
-    return synth_binary(perm)
+    """Canonical minimal-alphabet string for P, split at the required splits only.
+
+    Binary cases report s, their first boundary; the reversal (n > 1) and
+    the cases p1 = n and p1 = k+1 have period n - k.
+    """
+    case, sigma_min = classify(perm)
+    boundaries = _canonical_boundaries(perm)
+    s = boundaries[0] if sigma_min == 2 else None
+    periodic = perm.n > 1 and case in (SynthCase.UNARY, SynthCase.BINARY1, SynthCase.BINARY2)
+    return _result(perm, case, boundaries, s, perm.n - perm.k if periodic else None)
+
+
+def _require_alphabet(perm: APPerm, sigma: int) -> tuple[SynthCase, int]:
+    """Case tag and minimal alphabet size of P, after checking that sigma reaches it."""
+    case, sigma_min = classify(perm)
+    if sigma < sigma_min:
+        raise AlphabetTooSmallError(f"alphabet size {sigma} below the required minimum {sigma_min}")
+    return case, sigma_min
 
 
 def synth_general(
@@ -317,11 +342,7 @@ def synth_general(
     Subarrays take consecutive ranks starting at 1; with no free splits and
     sigma equal to the case minimum this coincides with :func:`synth`.
     """
-    case, sigma_min = classify(perm)
-    if sigma < sigma_min:
-        raise AlphabetTooSmallError(
-            f"alphabet size {sigma} below the required minimum {sigma_min}"
-        )
+    case, sigma_min = _require_alphabet(perm, sigma)
     required_values = required_splits(perm)
     free = list(split_after_values)
     if len(set(free)) != len(free):

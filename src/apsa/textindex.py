@@ -53,7 +53,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import APPerm, ap_array, ap_inverse, canonical_residue
 from .errors import UnsupportedCaseError
-from .synthesis import _canonical_boundaries, _rank_alphabet, _ternary_boundaries
+from .synthesis import _canonical_boundaries, _rank_alphabet, _ternary_boundaries, _text_of
 
 __all__ = [
     "SuffixArrayView",
@@ -114,10 +114,6 @@ class BwtProfile:
 def _codes_of(text: str) -> np.ndarray:
     """The text's code points, one uint32 each."""
     return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-
-
-def _text_of(codes: np.ndarray) -> str:
-    return codes.tobytes().decode("utf-32-le")
 
 
 def runs_of(chars: str) -> tuple[tuple[str, int], ...]:

@@ -296,3 +296,90 @@ def test_christoffel_record_limit_is_inclusive(capsys, monkeypatch):
     assert run(capsys, "christoffel", "-p", "7", "-q", "5")[0] == 0  # 12 characters
     code, _, err = run(capsys, "christoffel", "-p", "7", "-q", "6")
     assert code == 2 and "exceeds the limit" in err
+
+
+# Records printed before classify switched to the BWT balance check.
+CLASSIFY_BINARY_RECORDS = {
+    "ababaabababa": "ap=true n=12 k=5 p1=12 case=binary1 period=7 lyndon=false balanced=true",
+    "bababaababab": "ap=true n=12 k=5 p1=6 case=binary2 period=7 lyndon=false balanced=false",
+    "aababaababab": "ap=true n=12 k=5 p1=1 case=binary3 lyndon=true balanced=true",
+    "bbbaa": "ap=true n=5 k=4 p1=5 case=unary lyndon=false balanced=false",
+    "ba": "ap=true n=2 k=1 p1=2 case=unary lyndon=false balanced=true",
+    "baaaa": "ap=true n=5 k=4 p1=5 case=unary lyndon=false balanced=true",
+    "a": "ap=true n=1 k=1 p1=1 case=unary lyndon=true balanced=true",
+    "b": "ap=true n=1 k=1 p1=1 case=unary lyndon=true balanced=true",
+}
+
+
+def test_classify_balance_runs_no_quadratic_check_and_no_sort(capsys, monkeypatch):
+    import apsa.cli
+    import apsa.lyndonlab
+    import apsa.textindex
+    from apsa.lyndonlab import is_balanced
+    from apsa.synthesis import synth_binary
+
+    from helpers import iter_ap_perms
+
+    texts = [
+        synth_binary(perm).text
+        for n in range(2, 16)
+        for perm in iter_ap_perms(n)
+        if perm.p1 in (1, perm.k + 1, perm.n) and not perm.is_reversal
+    ]
+    texts += ["b" * i + "a" * j for i in range(6) for j in range(6) if i + j]
+    expected = {text: "true" if is_balanced(text) else "false" for text in texts}
+
+    def refuse(*args):
+        raise AssertionError("classify ran the quadratic balance check or a sort")
+
+    monkeypatch.setattr(apsa.lyndonlab, "is_balanced", refuse)
+    monkeypatch.setattr(apsa.cli, "is_balanced", refuse, raising=False)
+    monkeypatch.setattr(apsa.textindex, "_doubling_small", refuse)
+    monkeypatch.setattr(apsa.textindex, "_doubling_numpy", refuse)
+    for text, record in CLASSIFY_BINARY_RECORDS.items():
+        assert run(capsys, "classify", text) == (0, record + "\n", "")
+    for text, balanced in expected.items():
+        code, out, _ = run(capsys, "classify", text)
+        assert code == 0 and fields(out)["balanced"] == balanced, text
+
+
+def test_enumerate_streams_one_record(capsys):
+    from apsa.core import APPerm
+    from apsa.enumeration import enumerate_strings
+
+    strings = list(enumerate_strings(APPerm(31, 7, 5), 6))
+    code, out, _ = run(capsys, "enumerate", "-n", "31", "-k", "7", "--p1", "5", "--sigma", "6")
+    assert code == 0
+    assert out == f"count={len(strings)} strings=[{','.join(strings)}]\n"
+
+
+def test_enumerate_small_alphabet_prints_nothing(capsys):
+    code, out, err = run(capsys, "enumerate", "-n", "8", "-k", "5", "--p1", "5", "--sigma", "2")
+    assert code == 2 and out == ""
+    assert "below the required minimum 3" in err
+
+
+def readme_commands():
+    """Each commented `apsa` line of README's Command line block, as (argv, comment)."""
+    import shlex
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        (shlex.split(command)[1:], comment.strip())
+        for command, sep, comment in (line.partition("#") for line in block.splitlines())
+        if sep and command.startswith("apsa ")
+    ]
+
+
+def test_readme_command_examples_match_output(capsys):
+    examples = readme_commands()
+    assert len(examples) == 7
+    for argv, comment in examples:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        if comment.endswith("..."):
+            assert out.startswith(comment[:-3]), (argv, out)
+        else:
+            assert out == comment + "\n", (argv, out)

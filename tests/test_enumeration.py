@@ -1,3 +1,5 @@
+from bisect import bisect_left
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -11,6 +13,7 @@ from apsa.enumeration import (
     sigma_min,
 )
 from apsa.errors import AlphabetTooSmallError, SearchSpaceTooLargeError
+from apsa.synthesis import render_ranks, required_splits
 from apsa.textindex import suffix_array
 
 from helpers import ap_census, iter_ap_perms
@@ -156,3 +159,36 @@ def test_candidates_are_exact_beyond_the_census(perm, sigma):
     strings = list(candidate_strings(perm, sigma))
     assert len(strings) == len(set(strings)) == comb(perm.n + sigma - smin, sigma - smin)
     assert all(len(s) == perm.n and suffix_array(s).sa == target for s in strings)
+
+
+def reference_strings(perm, sigma):
+    """Every boundary multiset holding the required splits, ranked in pure Python.
+
+    Position i takes rank 1 + #{boundaries b : b < the rank of suffix i}; a
+    boundary b splits P after its b-th entry.
+    """
+    order = ap_materialize(perm)
+    rank = {position: r for r, position in enumerate(order, 1)}
+    required = [order.index(v) + 1 for v in required_splits(perm)]
+    free = sigma - sigma_min(perm)
+    for multiset in combinations_with_replacement(range(perm.n + 1), free):
+        bounds = sorted(required + list(multiset))
+        yield render_ranks(1 + bisect_left(bounds, rank[i]) for i in range(1, perm.n + 1))
+
+
+@pytest.mark.parametrize(
+    "n, sigmas",
+    [
+        (1, range(1, 31)),
+        (2, range(1, 31)),
+        (3, (1, 2, 3, 4, 25, 26, 27, 30)),
+        (4, (1, 2, 3, 4, 5, 27)),
+        (5, (1, 2, 3, 4, 5)),
+        (6, (1, 2, 3, 4, 5)),
+    ],
+)
+def test_enumerate_matches_reference_rendering(n, sigmas):
+    for perm in iter_ap_perms(n):
+        for sigma in sigmas:
+            if sigma >= sigma_min(perm):
+                assert list(enumerate_strings(perm, sigma)) == list(reference_strings(perm, sigma))

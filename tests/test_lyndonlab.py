@@ -9,6 +9,7 @@ from apsa.errors import WrongParityError
 from apsa.lyndonlab import (
     balanced2_factorization,
     balanced_via_bwt,
+    balanced_via_slope,
     duval_factorization,
     fibonacci_closed_form,
     fibonacci_lengths,
@@ -327,3 +328,22 @@ def test_lyndon_iff_progressed_suffix_array_starts_with_one():
                     assert is_lyndon(text) == (perm.p1 == 1), text
                     seen[perm.p1 == 1] += 1
     assert min(seen.values()) > 100, seen
+
+
+def test_balanced_via_slope_exhaustive():
+    for n in range(1, 13):
+        for word in all_strings(2, n):
+            assert balanced_via_slope(word) == is_balanced(word), word
+
+
+def test_balanced_via_slope_on_long_words():
+    for p, q in [(7, 5), (101, 200), (1, 999), (377, 610)]:
+        word = christoffel_word(p, q)
+        for w in (word, word[5:] + word[:5], word * 3):
+            assert balanced_via_slope(w) and balanced_via_bwt(w)
+        # Swapping one "ab" for "ba": all three checks agree on the result.
+        i = word.index("ab")
+        near = word[:i] + "ba" + word[i + 2 :]
+        assert balanced_via_slope(near) == balanced_via_bwt(near) == is_balanced(near)
+    with pytest.raises(ValueError):
+        balanced_via_slope("abc")

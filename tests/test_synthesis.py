@@ -1,5 +1,6 @@
 from math import comb
 
+import numpy as np
 import pytest
 
 from apsa.core import APPerm, ap_materialize, ap_rotate
@@ -12,6 +13,7 @@ from apsa.errors import (
 from apsa.synthesis import (
     SynthCase,
     _rank_alphabet,
+    _text_codes,
     binary_closed_form,
     classify,
     required_splits,
@@ -264,3 +266,18 @@ def test_rank_alphabet_keeps_records_parseable():
     assert alphabet.split() == [alphabet]
     assert not any(ch.isnumeric() or ch in "=,[]" for ch in alphabet)
     alphabet.encode("utf-8")  # no surrogates
+
+
+@pytest.mark.parametrize("perm", [APPerm(8, 5, 5), APPerm(9, 8, 9), APPerm(40, 3, 5)])
+@pytest.mark.parametrize("m", [0, 1, 3, 25, 26, 27, 45])
+def test_text_codes_matrix_rows_are_separate_texts(perm, m):
+    rng = np.random.default_rng(m)
+    rows = np.sort(rng.integers(0, perm.n + 1, size=(6, m)), axis=1)
+    rows[1] = rows[1, :1]  # one class holds everything, the others are empty
+    rows[2] = perm.n  # every boundary after the final entry
+    codes = _text_codes(perm, rows)
+    assert codes.shape == (6, perm.n)
+    assert codes.dtype == (np.uint8 if m < 26 else np.uint32)
+    for row, got in zip(rows, codes):
+        assert np.array_equal(got, _text_codes(perm, tuple(row.tolist())))
+    assert np.array_equal(_text_codes(perm, rows, 2, perm.n - 1), codes[:, 2 : perm.n - 1])
