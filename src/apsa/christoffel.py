@@ -22,7 +22,7 @@ from itertools import accumulate
 from .core import APPerm, canonical_residue, mod_inverse
 from .errors import DegenerateSlopeError, NotCoprimeError
 from .synthesis import synth_binary
-from .textindex import BwtProfile, _codes_of, bwt_predict, suffix_array
+from .textindex import BwtProfile, _codes_of, _doubling_numpy, bwt_predict
 
 __all__ = [
     "ChristoffelParams",
@@ -139,8 +139,9 @@ def adjacent_diff_columns(n: int, k: int, i: int) -> tuple[int, int]:
 def bwt_matrix_adjacent_diffs(word: str) -> list[tuple[int, int]]:
     """All (row, column) positions where adjacent sorted-rotation rows differ.
 
-    Row i is the rotation starting at suffix-array entry i, a slice of the
-    codes of word + word, so rows are compared two at a time in O(n) memory.
+    Row i is the i-th rotation in sorted order, equal rotations by start
+    position, and a slice of the codes of word + word, so rows are compared
+    two at a time in O(n) memory.
     For a lower Christoffel word each adjacent pair differs in exactly two
     consecutive columns, at i(n-k) mod n and the next; for other inputs the
     raw difference positions are returned and the caller judges the pattern.
@@ -149,7 +150,7 @@ def bwt_matrix_adjacent_diffs(word: str) -> list[tuple[int, int]]:
     if n < 2:
         raise ValueError("need at least two rotations to compare")
     doubled = _codes_of(word + word)
-    starts = [start - 1 for start in suffix_array(word).sa]
+    starts = _doubling_numpy(doubled[:n]).tolist()
     diffs = []
     for i, (a, b) in enumerate(zip(starts, starts[1:]), start=1):
         columns = (doubled[a : a + n] != doubled[b : b + n]).nonzero()[0] + 1

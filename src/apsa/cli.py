@@ -26,21 +26,16 @@ from .christoffel import (
 )
 from .core import APPerm, ap_array, ap_inverse
 from .enumeration import enumerate_strings
-from .errors import CorpusFormatError, NotCoprimeError
-from .lyndonlab import (
-    balanced_via_slope,
-    fibonacci_lengths,
-    fibonacci_swapped,
-    fibonacci_word,
-)
+from .errors import CorpusFormatError
+from .lyndonlab import _SWAP, balanced_via_slope, fibonacci_lengths, fibonacci_word
 from .synthesis import _require_alphabet, classify, synth, synth_general
 from .textindex import _codes_of, _successor_lcp, bwt_runs, compact_runs, progression_of
 
 __all__ = ["main", "MAX_RECORD_CHARS"]
 
-# Largest record `christoffel`, `enumerate` or `fib` prints.  The first and
-# last hold the whole record in memory before it prints, so a larger request
-# would exhaust memory instead.
+# Largest record `christoffel`, `enumerate` or `fib` prints.  `christoffel`
+# holds the whole record in memory before it prints and `fib` the word and its
+# swapped copy, so a larger request would exhaust memory instead.
 MAX_RECORD_CHARS = 1 << 30
 
 
@@ -143,12 +138,17 @@ def _cmd_fib(args) -> int:
     _check_record_size(f[-1] * (1 + args.m % 2))  # odd m also prints the swapped word
     fw = fibonacci_word(args.m)
     ratio = f[args.m - 3] if args.m >= 3 else 1
-    parts = [f"m={args.m}", f"word={fw.word}", f"length={fw.length}", f"ratio={ratio}"]
+    # Written field by field, so the record is never joined in memory.
+    out = sys.stdout
+    out.write(f"m={args.m} word=")
+    out.write(fw.word)
+    out.write(f" length={fw.length} ratio={ratio} ap_word=")
     if args.m % 2:
-        parts.append(f"ap_word=swapped swapped={fibonacci_swapped(args.m)}")
+        out.write("swapped swapped=")
+        out.write(fw.word.translate(_SWAP))
     else:
-        parts.append("ap_word=word")
-    print(" ".join(parts))
+        out.write("word")
+    out.write("\n")
     return 0
 
 
@@ -269,9 +269,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NotCoprimeError:
-        print("k and n must be coprime", file=sys.stderr)
-        return 2
     except CorpusFormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 3

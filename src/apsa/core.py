@@ -76,7 +76,7 @@ class APPerm:
             raise ValueError(f"ratio {self.k} outside [1..{self.n - 1}]")
         if math.gcd(self.k, self.n) != 1:
             raise NotCoprimeError(
-                f"ratio {self.k} and length {self.n} must be coprime"
+                f"k and n must be coprime, got ratio {self.k} and length {self.n}"
             )
 
     @property

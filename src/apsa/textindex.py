@@ -18,11 +18,14 @@ that suffix array, and its BWT is that sorted string rotated left by n
 minus the inverse ratio.
 
 The suffix-array oracle is prefix doubling, O(n log n): pure Python for
-short texts, a numpy kernel from 2048 characters on.  The kernel's first
-round ranks a packed key, the first c characters in base sigma + 1 with as
-many characters as an int64 holds, so doubling starts at step c instead of
-1.  The same kernel in cyclic mode, where position i + step wraps modulo n,
-sorts the rotations for the matrix BWT in O(n log n) time and O(n) memory.
+short texts, a numpy kernel from 2048 characters on.  The kernel sorts
+rotations only, in O(n log n) time and O(n) memory; its first round ranks a
+packed key, the first c characters of each rotation with as many characters
+as an int64 holds, so doubling starts at step c instead of 1.  The matrix
+BWT reads the sorted rotations directly.  For the suffix array the text
+gets one sentinel below every character: every rotation of the longer text
+then sorts as its suffix up to the sentinel does, so dropping the
+sentinel's own rotation, which sorts first, leaves the suffix order.
 Linear-time construction is out of scope here on purpose: these are
 desk-scale reference oracles.
 
@@ -216,45 +219,33 @@ def _int64_width(base: int) -> int:
     return width
 
 
-def _extended(values: np.ndarray, count: int, cyclic: bool) -> np.ndarray:
-    """values followed by `count` more entries: its head again if cyclic, else zeros.
+def _doubling_numpy(codes: np.ndarray) -> np.ndarray:
+    """Sort the rotations of the text with these codes; returns 0-based starts.
 
-    A slice [j : j + n] of the result reads values[i + j] for every i, wrapping
-    modulo n in cyclic mode and 0 past the end otherwise.
-    """
-    tail = values[:count] if cyclic else np.zeros(count, dtype=values.dtype)
-    return np.concatenate((values, tail))
-
-
-def _doubling_numpy(codes: np.ndarray, cyclic: bool = False) -> np.ndarray:
-    """Same algorithm as :func:`_doubling_small`, vectorized; returns 0-based starts.
-
-    The first round ranks a packed key: the first c characters as digits in
-    base sigma + 1, 0 past the end, with c as large as int64 allows (31 for a
-    ternary text), so doubling starts at step c.  Each round then ranks the
-    pair (rank[i], rank[i + step]) and doubles the step.  A round sorts the
-    new keys in the previous round's order, which is already sorted by the
-    first component; the sorts are stable, so equal keys stay in order of
-    their start positions.
-
-    In cyclic mode the kernel sorts rotations instead of suffixes: position
-    i + step wraps modulo n, and the rounds stop once step >= n, where equal
-    rotations of a non-primitive text still share a key and so come out by
-    start position.
+    The first round ranks a packed key: the first c characters of each
+    rotation as digits numbered densely from 0, with c as large as int64
+    allows (31 for a ternary text with a sentinel), so doubling starts at
+    step c.  Each round then ranks the pair (rank[i], rank[i + step mod n])
+    and doubles the step.  A round sorts the new keys in the previous
+    round's order, which is already sorted by the first component; the sorts
+    are stable, so equal keys stay in order of their start positions.  The
+    rounds stop once every rank differs or step >= n, where equal rotations
+    of a non-primitive text still share a key and so come out by start
+    position.
     """
     n = codes.size
-    digits = np.unique(codes, return_inverse=True)[1] + 1
-    base = int(digits.max()) + 1
+    digits = np.unique(codes, return_inverse=True)[1]
+    base = max(2, int(digits.max()) + 1)
     step = min(n, _int64_width(base))
     powers = base ** np.arange(step - 1, -1, -1, dtype=np.int64)
-    key = sliding_window_view(_extended(digits, step, cyclic), step)[:n] @ powers
+    key = sliding_window_view(np.concatenate((digits, digits[:step])), step)[:n] @ powers
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
     # Vectors are updated in place and dropped once used, so at most about
     # six of length n are alive at a time.
     del key
     while True:
-        # The sorted suffixes' ranks; the same vector becomes the next key.
+        # The sorted rotations' ranks; the same vector becomes the next key.
         key = np.zeros(n, dtype=np.int64)
         np.cumsum(sorted_key[1:] != sorted_key[:-1], out=key[1:])
         del sorted_key
@@ -262,11 +253,10 @@ def _doubling_numpy(codes: np.ndarray, cyclic: bool = False) -> np.ndarray:
             return order
         rank = np.empty(n, dtype=np.int64)
         rank[order] = key
-        rank += 1
-        following = _extended(rank, step, cyclic)
+        following = np.concatenate((rank, rank[:step]))
         del rank
-        # key[t] packs (rank, rank step positions on) of suffix order[t].
-        key *= n + 1
+        # key[t] packs (rank, rank step positions on) of rotation order[t].
+        key *= n
         key += following[order + step]
         del following
         by_key = np.argsort(key, kind="stable")
@@ -281,7 +271,10 @@ def suffix_array(text: str) -> SuffixArrayView:
     if n == 0:
         raise ValueError("empty text has no suffix array")
     if n >= _NUMPY_THRESHOLD:
-        sa = tuple((_doubling_numpy(_codes_of(text)) + 1).tolist())
+        # A sentinel below every code point makes the suffix order the
+        # rotation order; its own rotation sorts first and is dropped.
+        codes = np.append(_codes_of(text).astype(np.int64), -1)
+        sa = tuple((_doubling_numpy(codes)[1:] + 1).tolist())
     else:
         order = _doubling_small([ord(c) for c in text])
         sa = tuple(i + 1 for i in order)
@@ -391,16 +384,22 @@ def inverse_sa(sa: Sequence[int]) -> list[int]:
 def bwt_from_sa(text: str, sa: Optional[Sequence[int]] = None) -> BwtProfile:
     """BWT from the suffix array: the character cyclically preceding each suffix.
 
-    `sa` may be any integer sequence or array; one gather picks the characters.
+    `sa` may be any integer sequence or array holding each of 1..n once; one
+    gather picks the characters.
     """
     n = len(text)
     if n == 0:
         raise ValueError("empty text has no BWT")
-    if sa is None:
+    given = sa is not None
+    if not given:
         sa = suffix_array(text).sa
     if len(sa) != n:
         raise ValueError(f"suffix array length {len(sa)} != text length {n}")
     preceding = np.asarray(sa).astype(np.int64, casting="same_kind")
+    if given and not (
+        preceding.min() >= 1 and preceding.max() <= n and np.bincount(preceding).max() == 1
+    ):
+        raise ValueError("suffix array is not a permutation of [1..n]")
     preceding -= 2
     preceding %= n
     chars = _codes_of(text)[preceding]
@@ -410,15 +409,15 @@ def bwt_from_sa(text: str, sa: Optional[Sequence[int]] = None) -> BwtProfile:
 def bwt_from_matrix(text: str) -> BwtProfile:
     """BWT as the last column of the sorted rotation matrix.
 
-    The rotations are sorted by the prefix-doubling kernel in cyclic mode, in
-    O(n log n) time and O(n) memory; equal rotations (non-primitive texts)
-    are ordered by starting position.
+    The prefix-doubling kernel sorts the rotations in O(n log n) time and
+    O(n) memory; equal rotations (non-primitive texts) are ordered by
+    starting position.
     """
     n = len(text)
     if n == 0:
         raise ValueError("empty text has no rotation matrix")
     codes = _codes_of(text)
-    starts = _doubling_numpy(codes, cyclic=True)
+    starts = _doubling_numpy(codes)
     return BwtProfile(_text_of(codes[starts - 1]), "matrix-based")
 
 

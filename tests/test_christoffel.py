@@ -1,3 +1,4 @@
+from itertools import pairwise, product
 from math import gcd
 
 import pytest
@@ -168,6 +169,22 @@ def test_adjacent_diff_examples():
             cols = [c for r, c in diffs if r == row]
             assert len(cols) == 2
             assert (cols[1] - cols[0]) % len(word) == 1
+
+
+def test_adjacent_diffs_read_the_sorted_rotation_matrix():
+    # Brute force: sort the rotations, equal ones by start, and compare rows.
+    for alphabet in ("ab", "abc"):
+        for n in range(2, 8):
+            for letters in product(alphabet, repeat=n):
+                word = "".join(letters)
+                rows = sorted(word[i:] + word[:i] for i in range(n))
+                want = [
+                    (i, j + 1)
+                    for i, (x, y) in enumerate(pairwise(rows), start=1)
+                    for j in range(n)
+                    if x[j] != y[j]
+                ]
+                assert bwt_matrix_adjacent_diffs(word) == want, word
 
 
 def test_adjacent_diffs_at_predicted_columns():

@@ -39,6 +39,12 @@ def test_synth_non_coprime(capsys):
     assert "k and n must be coprime" in err
 
 
+def test_christoffel_non_coprime_names_its_own_parameters(capsys):
+    code, out, err = run(capsys, "christoffel", "-p", "2", "-q", "4")
+    assert (code, out) == (2, "")
+    assert "(2, 4) must be coprime" in err
+
+
 def test_synth_with_free_splits(capsys):
     code, out, _ = run(
         capsys, "synth", "-n", "8", "-k", "5", "--p1", "5", "--sigma", "5",

@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 
 from apsa.core import APPerm, ap_materialize, canonical_residue
@@ -61,6 +62,10 @@ def test_suffix_array_numpy_path_agrees():
         ("ab" * 1500) + "a",
         "a" * 3000,
         ("abc" * 1000) + "bca",
+        # U+0000 is a real character, not the sentinel.
+        "\x00" * 3000,
+        "a\x00" * 1500,
+        "\x00a" * 1500 + "\x00",
     ]
     for text in words:
         got = suffix_array(text).sa  # length >= threshold, vectorized
@@ -126,6 +131,13 @@ def test_bwt_from_sa_examples(text, chars):
 def test_bwt_from_sa_length_mismatch():
     with pytest.raises(ValueError):
         bwt_from_sa("abc", [1, 2])
+
+
+@pytest.mark.parametrize("sa", [[1, 1, 1], [7, 8, 9], [0, 1, 2], [3, 3, 1], [-1, 1, 2]])
+def test_bwt_from_sa_rejects_a_non_permutation(sa):
+    for given in (sa, np.array(sa)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            bwt_from_sa("abc", given)
 
 
 @pytest.mark.parametrize(
