@@ -15,8 +15,6 @@ import sys
 from math import comb
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import corpus as corpus_mod
 from .christoffel import (
     christoffel_bwt,
@@ -24,12 +22,12 @@ from .christoffel import (
     christoffel_word,
     factorization_index,
 )
-from .core import APPerm, ap_array, ap_inverse
+from .core import APPerm
 from .enumeration import enumerate_strings
 from .errors import CorpusFormatError
 from .lyndonlab import _SWAP, balanced_via_slope, fibonacci_lengths, fibonacci_word
 from .synthesis import _require_alphabet, classify, synth, synth_general
-from .textindex import _codes_of, _successor_lcp, bwt_runs, compact_runs, progression_of
+from .textindex import _smallest_period, bwt_runs, compact_runs, progression_of
 
 __all__ = ["main", "MAX_RECORD_CHARS"]
 
@@ -60,24 +58,6 @@ def _cmd_synth(args) -> int:
     parts.append(f"bwt={compact_runs(bwt_runs(perm, result.split.boundaries))}")
     print(" ".join(parts))
     return 0
-
-
-def _smallest_period(text: str, perm: APPerm) -> Optional[int]:
-    """Smallest period of a text whose suffix array is P, or None when it is n.
-
-    A border is a suffix ranked below the whole text whose longest common
-    prefix with the text is its own length; that prefix is the minimum of the
-    adjacent suffixes' LCPs from its rank up to the text's.  The period is
-    the smallest border start (0-based).
-    """
-    top = ap_inverse(perm).p1  # the whole text's rank
-    if top == 1:
-        return None
-    below = ap_array(perm, 0, top - 1)
-    reach = _successor_lcp(_codes_of(text), perm)[below - 1]
-    reach = np.minimum.accumulate(reach[::-1])[::-1]
-    borders = below[reach == perm.n + 1 - below]
-    return int(borders.min()) - 1 if borders.size else None
 
 
 def _cmd_classify(args) -> int:

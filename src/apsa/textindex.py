@@ -30,18 +30,23 @@ Linear-time construction is out of scope here on purpose: these are
 desk-scale reference oracles.
 
 Whether a text has a progressed suffix array needs no sort.  The
-progression P = (n, k, p1) is the suffix array of T exactly when every pair
-of adjacent entries a, b = a + k (mod n) satisfies
-(T[a], ISA[a + 1]) < (T[b], ISA[b + 1]), where ISA is the closed form
-(i - last) * k^{-1} mod n and the empty suffix ranks 0.
-:func:`progression_holds` reads that certificate in text order, so each
-2^20-position chunk compares two contiguous slices.  :func:`progression_of`
-finds the only candidate from letter counts: the last suffix ranks
+progression P = (n, k, p1) is the suffix array of T exactly when
+T[a] <= T[a + k mod n] for every entry a of P but the last, strictly where a
+is a required split value, n - k or p1 - k - 1 mod n
+(:func:`apsa.synthesis.required_splits`).  Why: the general certificate is
+(T[a], rank(a + 1)) < (T[b], rank(b + 1)) for adjacent entries a, b, and as
+b + 1 = (a + 1) + k, rank(b + 1) = rank(a + 1) + 1, except where a + 1 is
+the last entry of P (rank n) or b = n (the empty suffix, rank 0), that is,
+where a is a required split value.  (At a = n the empty suffix is at a + 1.)
+:func:`progression_holds` reads this in text order, so each 2^20-position
+chunk compares two contiguous slices.  :func:`progression_of` finds the
+only candidate from letter counts: the last suffix ranks
 1 + #{j : T[j] < T[n]}, the one before it also counts the suffixes that
 start with T[n - 1] and continue below T[n], and the two ranks differ by
 k^{-1}.  Once P is known, the longest common prefix of the suffix at a with
 the next one in P, at a + k or a + k - n, is the run of T[i] == T[i + k] or
-T[i] == T[i + k - n] starting at a (:func:`_successor_lcp`).
+T[i] == T[i + k - n] starting at a (:func:`_successor_lcp`); the smallest
+period is read off these runs (:func:`_smallest_period`).
 """
 
 from __future__ import annotations
@@ -56,7 +61,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import APPerm, ap_array, ap_inverse, canonical_residue
 from .errors import UnsupportedCaseError
-from .synthesis import _canonical_boundaries, _rank_alphabet, _ternary_boundaries, _text_of
+from .synthesis import (
+    _canonical_boundaries,
+    _rank_alphabet,
+    _ternary_boundaries,
+    _text_of,
+    required_splits,
+)
 
 __all__ = [
     "SuffixArrayView",
@@ -265,26 +276,23 @@ def _doubling_numpy(codes: np.ndarray) -> np.ndarray:
         step <<= 1
 
 
+def _suffix_order(text: str) -> list[int] | np.ndarray:
+    """0-based suffix starts in order: a list below _NUMPY_THRESHOLD, else an int64 array."""
+    if len(text) < _NUMPY_THRESHOLD:
+        return _doubling_small([ord(c) for c in text])
+    # A sentinel below every code point makes the suffix order the rotation
+    # order; its own rotation sorts first and is dropped.
+    return _doubling_numpy(np.append(_codes_of(text).astype(np.int64), -1))[1:]
+
+
 def suffix_array(text: str) -> SuffixArrayView:
     """Suffix array of `text` under strict lexicographic order, 1-based."""
-    n = len(text)
-    if n == 0:
+    if not text:
         raise ValueError("empty text has no suffix array")
-    if n >= _NUMPY_THRESHOLD:
-        # A sentinel below every code point makes the suffix order the
-        # rotation order; its own rotation sorts first and is dropped.
-        codes = np.append(_codes_of(text).astype(np.int64), -1)
-        sa = tuple((_doubling_numpy(codes)[1:] + 1).tolist())
-    else:
-        order = _doubling_small([ord(c) for c in text])
-        sa = tuple(i + 1 for i in order)
-    return SuffixArrayView(text, sa)
-
-
-def _suffix_ranks(inverse: APPerm, start: int, stop: int) -> np.ndarray:
-    """Ranks of the suffixes at 0-based positions [start, stop); the empty suffix, at n, ranks 0."""
-    ranks = ap_array(inverse, start, min(stop, inverse.n))
-    return np.append(ranks, 0) if stop > inverse.n else ranks
+    order = _suffix_order(text)
+    if isinstance(order, list):
+        return SuffixArrayView(text, tuple(i + 1 for i in order))
+    return SuffixArrayView(text, tuple((order + 1).tolist()))
 
 
 def progression_holds(codes: np.ndarray, perm: APPerm) -> bool:
@@ -292,27 +300,25 @@ def progression_holds(codes: np.ndarray, perm: APPerm) -> bool:
 
     `codes` is one text's codes, or a matrix with one text per row, in which
     case P must be the suffix array of every row.  Any integer codes that
-    order like the characters will do.  Reads the certificate of the module
-    docstring in text order: position a is followed in P by a + k, or by
-    a + k - n once a + k passes the end, so each chunk compares one slice of
-    the codes with another k positions on.  The final entry of P has no
-    successor and is exempt.  Stops at the first failing chunk.
+    order like the characters will do.  Reads the theorem of the module
+    docstring: the codes rise after each required split value and never fall
+    along P.  Position a is followed in P by a + k, or by a + k - n past the
+    end, so each chunk compares one slice of the codes with another k
+    positions on; the final entry of P has no successor and is exempt.
     """
     n, k = perm.n, perm.k
     if codes.shape[-1] != n:
         raise ValueError(f"text length {codes.shape[-1]} != progression length {n}")
     if n == 1:
         return True
-    inverse = ap_inverse(perm)
+    for v in required_splits(perm):
+        if not (codes[..., v - 1] < codes[..., (v - 1 + k) % n]).all():
+            return False
     exempt = perm.last - 1
     for lo, hi, shift in ((0, n - k, k), (n - k, n, k - n)):
         for start in range(lo, hi, _CHUNK):
             stop = min(start + _CHUNK, hi)
-            here = codes[..., start:stop]
-            there = codes[..., start + shift : stop + shift]
-            rank_here = _suffix_ranks(inverse, start + 1, stop + 1)
-            rank_there = _suffix_ranks(inverse, start + shift + 1, stop + shift + 1)
-            ok = (here < there) | ((here == there) & (rank_here < rank_there))
+            ok = codes[..., start:stop] <= codes[..., start + shift : stop + shift]
             if start <= exempt < stop:
                 ok[..., exempt - start] = True
             if not ok.all():
@@ -335,12 +341,8 @@ def progression_of(text: str) -> Optional[APPerm]:
     codes = _codes_of(text)
     x, y = int(codes[-1]), int(codes[-2])
     rank_last = 1 + int(np.count_nonzero(codes < x))
-    rank_before = (
-        1
-        + int(np.count_nonzero(codes < y))
-        + int(np.count_nonzero((codes[:-1] == y) & (codes[1:] < x)))
-        + (x == y)
-    )
+    rank_before = 1 + int(np.count_nonzero(codes < y)) + (x == y)
+    rank_before += int(np.count_nonzero((codes[:-1] == y) & (codes[1:] < x)))
     k_inverse = (rank_last - rank_before) % n
     if gcd(k_inverse, n) != 1:
         return None
@@ -370,6 +372,24 @@ def _successor_lcp(codes: np.ndarray, perm: APPerm) -> np.ndarray:
     return np.minimum.accumulate(ends[::-1])[::-1] - positions
 
 
+def _smallest_period(text: str, perm: APPerm) -> Optional[int]:
+    """Smallest period of a text whose suffix array is P, or None when it is n.
+
+    A border is a suffix ranked below the whole text whose longest common
+    prefix with the text is its own length; that prefix is the minimum of the
+    adjacent suffixes' LCPs from its rank up to the text's.  The period is
+    the smallest border start (0-based).
+    """
+    top = ap_inverse(perm).p1  # the whole text's rank
+    if top == 1:
+        return None
+    below = ap_array(perm, 0, top - 1)
+    reach = _successor_lcp(_codes_of(text), perm)[below - 1]
+    reach = np.minimum.accumulate(reach[::-1])[::-1]
+    borders = below[reach == perm.n + 1 - below]
+    return int(borders.min()) - 1 if borders.size else None
+
+
 def inverse_sa(sa: Sequence[int]) -> list[int]:
     """Inverse of a 1-based permutation: result[sa[i]] = i."""
     n = len(sa)
@@ -384,26 +404,23 @@ def inverse_sa(sa: Sequence[int]) -> list[int]:
 def bwt_from_sa(text: str, sa: Optional[Sequence[int]] = None) -> BwtProfile:
     """BWT from the suffix array: the character cyclically preceding each suffix.
 
-    `sa` may be any integer sequence or array holding each of 1..n once; one
-    gather picks the characters.
+    `sa` may be any integer sequence or array holding each of 1..n once, and
+    defaults to the sort's order; one gather picks the characters.
     """
     n = len(text)
     if n == 0:
         raise ValueError("empty text has no BWT")
-    given = sa is not None
-    if not given:
-        sa = suffix_array(text).sa
-    if len(sa) != n:
-        raise ValueError(f"suffix array length {len(sa)} != text length {n}")
-    preceding = np.asarray(sa).astype(np.int64, casting="same_kind")
-    if given and not (
-        preceding.min() >= 1 and preceding.max() <= n and np.bincount(preceding).max() == 1
-    ):
-        raise ValueError("suffix array is not a permutation of [1..n]")
-    preceding -= 2
-    preceding %= n
-    chars = _codes_of(text)[preceding]
-    return BwtProfile(_text_of(chars), "sa-based")
+    if sa is None:
+        starts = np.asarray(_suffix_order(text))
+    else:
+        if len(sa) != n:
+            raise ValueError(f"suffix array length {len(sa)} != text length {n}")
+        starts = np.asarray(sa).astype(np.int64, casting="same_kind")
+        if not (starts.min() >= 1 and starts.max() <= n and np.bincount(starts).max() == 1):
+            raise ValueError("suffix array is not a permutation of [1..n]")
+        starts -= 1
+    # Index -1 wraps to the last character, which precedes the whole text.
+    return BwtProfile(_text_of(_codes_of(text)[starts - 1]), "sa-based")
 
 
 def bwt_from_matrix(text: str) -> BwtProfile:

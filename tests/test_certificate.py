@@ -26,7 +26,7 @@ from apsa.lyndonlab import fibonacci_swapped, fibonacci_word
 from apsa.synthesis import _rank_alphabet, classify, required_splits, synth, synth_general
 from apsa.textindex import _codes_of, progression_holds, progression_of, suffix_array
 
-from helpers import smallest_period_reference
+from helpers import iter_ap_perms, smallest_period_reference
 
 bounded = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -182,3 +182,42 @@ def test_a_failing_batch_raises(monkeypatch):
     monkeypatch.setattr(apsa.enumeration, "progression_holds", lambda codes, perm: False)
     with pytest.raises(RuntimeError):
         next(enumerate_strings(APPerm(8, 5, 5), 3))
+
+
+def test_certificate_needs_no_inverse_suffix_array(monkeypatch):
+    perm = APPerm(100_003, 7, 5)
+    text = synth(perm).text
+    n, k = perm.n, perm.k
+    flat = text[: n - 1] + text[n - k - 1]  # no rise after the split value n - k
+    miss = text[:50_000] + ("a" if text[50_000] != "a" else "b") + text[50_001:]
+    expected = {t: sorted_progression(t) for t in (flat, miss)}
+
+    def no_closed_form(*args):
+        raise AssertionError("inverse suffix array computed")
+
+    monkeypatch.setattr(apsa.textindex, "ap_array", no_closed_form)
+    monkeypatch.setattr(apsa.textindex, "ap_inverse", no_closed_form)
+    assert progression_holds(_codes_of(text), perm)
+    assert progression_of(text) == perm
+    for t, want in expected.items():
+        assert not progression_holds(_codes_of(t), perm)
+        assert progression_of(t) == want
+
+
+def test_every_required_split_needs_a_rise(monkeypatch):
+    # The canonical text with the character after a required split value set
+    # to the one at it: alone, as the middle row of a matrix whose other rows
+    # hold, and alone in chunks of three positions.
+    misses = []
+    for n in range(2, 61):
+        for perm in iter_ap_perms(n):
+            codes = _codes_of(synth(perm).text)
+            for v in required_splits(perm):
+                flat = codes.copy()
+                flat[(v - 1 + perm.k) % n] = codes[v - 1]
+                misses.append((perm, flat))
+                assert not progression_holds(flat, perm), (perm, v)
+                assert not progression_holds(np.stack((codes, flat, codes)), perm), (perm, v)
+    monkeypatch.setattr(apsa.textindex, "_CHUNK", 3)
+    for perm, flat in misses:
+        assert not progression_holds(flat, perm), perm

@@ -292,3 +292,26 @@ def test_profile_equality_is_on_chars():
     b = bwt_from_matrix("babbabac")
     assert a == b
     assert a.source != b.source
+
+
+@pytest.mark.parametrize("n", [2047, 2048, 2049])
+def test_bwt_from_sa_reads_the_sort_directly(monkeypatch, n):
+    # Both sides of the numpy threshold, without a SuffixArrayView in between.
+    import random
+
+    import apsa.textindex
+
+    def refuse(text):
+        raise AssertionError("suffix_array called")
+
+    monkeypatch.setattr(apsa.textindex, "suffix_array", refuse)
+    rnd = random.Random(n)
+    texts = [
+        "".join(rnd.choices("\x00ab", k=n)),
+        "\x00" * n,
+        ("a\x00" * n)[:n],
+        ("abaab" * n)[:n],
+    ]
+    for text in texts:
+        want = "".join(text[i - 2] for i in naive_sa(text))
+        assert bwt_from_sa(text).chars == want
