@@ -95,6 +95,10 @@ class APPerm:
         return self.n == 1 or (self.p1 == self.n and self.k == self.n - 1)
 
 
+# Entries per block of ap_array: 256 KiB of int64, small enough to stay in cache.
+_BLOCK = 1 << 15
+
+
 def _check_int64(perm: APPerm) -> None:
     """Raise ValueError when (n - 1)*k + p1, the largest product, exceeds int64."""
     if (perm.n - 1) * perm.k + perm.p1 > np.iinfo(np.int64).max:
@@ -111,14 +115,35 @@ def ap_array(perm: APPerm, start: int = 0, stop: Optional[int] = None) -> np.nda
     ValueError, before allocating anything, when (n - 1)*k + p1 does not fit
     in int64, since the products would wrap silently.  Applied to
     :func:`ap_inverse` of a permutation it yields the inverse suffix array.
+
+    The first _BLOCK entries take a multiply and a modulo each.  Every later
+    block is that first block plus a*k mod n, a being its offset from start:
+    both terms lie below n, so a subtraction of n, written into the next,
+    still unused block, and a minimum reduce the sum without a division.
+    The last block or two, with less room after them than their own size,
+    take a modulo.  A range of at most _BLOCK entries is the first block
+    alone.  The output, allocated by np.arange, is the only array.
     """
     n, k = perm.n, perm.k
     _check_int64(perm)
     out = np.arange(start, n if stop is None else stop, dtype=np.int64)
-    out *= k
-    out += perm.p1 - 1
-    out %= n
-    out += 1
+    head = out[:_BLOCK]
+    head *= k
+    head += perm.p1 - 1
+    head %= n
+    # uint64 views: sums reach 2n - 2, past int64 when n > 2**62
+    u, h = out.view(np.uint64), head.view(np.uint64)
+    for a in range(_BLOCK, u.size, _BLOCK):
+        block = u[a : a + _BLOCK]
+        spill = u[a + _BLOCK : a + 2 * _BLOCK]
+        np.add(h[: block.size], a * k % n, out=block)
+        if spill.size < block.size:
+            block %= n
+        else:
+            np.subtract(block, n, out=spill)  # wraps where the sum is below n
+            np.minimum(block, spill, out=block)
+        block += 1
+    head += 1
     return out
 
 

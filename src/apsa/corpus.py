@@ -19,7 +19,11 @@ Both closed forms give any slice of an entry without the rest, so generation
 and verification work in chunks of 2**20 positions.  The chunks of all
 entries go to one pool of worker threads, parallel within an entry as well
 as across entries, and memory is O(threads x chunk) rather than O(n).  The
-number of threads is capped by the APSA_THREADS environment variable.
+number of threads is capped by the APSA_THREADS environment variable.  Within
+a chunk, the SA and the inverse suffix array behind the text come from
+:func:`apsa.core.ap_array`, which takes a modulo per entry only in its
+first block of 2**15 and its last one or two: every other block is the
+first plus one offset, less n where the sum reaches n.
 
 Verification is streaming and O(n): a candidate suffix array is accepted
 exactly when its first value is the declared first entry and every following
@@ -100,11 +104,15 @@ class CheckResult:
 
 
 def thread_count(requested: Optional[int] = None) -> int:
+    """Worker threads: `requested`, else APSA_THREADS, else the CPU count; at least 1."""
     if requested is not None:
         return max(1, requested)
     env = os.environ.get("APSA_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"APSA_THREADS={env} is not an integer") from None
     return os.cpu_count() or 1
 
 
@@ -258,9 +266,9 @@ def _chunks(n: int) -> list[tuple[int, int]]:
     return [(a, min(a + _CHUNK_ENTRIES, n)) for a in range(0, n, _CHUNK_ENTRIES)]
 
 
-def _run(fn, tasks: list[tuple], threads: Optional[int]) -> list:
-    """fn(*task) for every task on one pool of worker threads, results in task order."""
-    workers = min(thread_count(threads), max(1, len(tasks)))
+def _run(fn, tasks: list[tuple], threads: int) -> list:
+    """fn(*task) for every task on a pool of at most `threads` workers, results in task order."""
+    workers = min(threads, max(1, len(tasks)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda task: fn(*task), tasks))
 
@@ -288,6 +296,7 @@ def generate_corpus(
     Every entry is written in chunks of _CHUNK_ENTRIES positions, all chunks
     of all entries on one thread pool, so memory stays O(threads x chunk).
     """
+    threads = thread_count(threads)  # a bad APSA_THREADS fails before any file exists
     os.makedirs(out_dir, exist_ok=True)
     sizes = list(dict.fromkeys(sizes))
     cases = list(dict.fromkeys(cases))
@@ -428,6 +437,7 @@ def verify_corpus(
     """
     if only_id is None and (sa_override or bwt_override):
         raise ValueError("candidate --sa/--bwt files need --id to name their entry")
+    threads = thread_count(threads)
     manifest = read_manifest(manifest_path)
     base = directory or os.path.dirname(os.path.abspath(manifest_path))
     entries = manifest.entries

@@ -183,6 +183,27 @@ def test_corpus_verify_candidate_needs_id(tmp_path, capsys, flag, name):
     assert code == 0 and out.strip().endswith("result=pass")
 
 
+def test_corpus_bad_thread_env_exits_2_before_writing(tmp_path, capsys, monkeypatch):
+    import apsa.corpus as corpus
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool started")
+
+    monkeypatch.setattr(corpus, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setenv("APSA_THREADS", "abc")
+    out_dir = tmp_path / "corpus"
+    out_dir.mkdir()
+    code, out, err = run(capsys, "corpus", "gen", "--out", str(out_dir), "--sizes", "10",
+                         "--cases", "binary1")
+    assert (code, out) == (2, "")
+    assert err == "error: APSA_THREADS=abc is not an integer\n"
+    assert list(out_dir.iterdir()) == []
+    # verify resolves the threads before it opens the manifest (else exit 3)
+    code, out, err = run(capsys, "corpus", "verify", str(out_dir / "manifest.txt"))
+    assert (code, out) == (2, "")
+    assert "APSA_THREADS=abc" in err
+
+
 def test_corpus_verify_missing_file(tmp_path, capsys):
     out_dir = tmp_path / "corpus"
     run(capsys, "corpus", "gen", "--out", str(out_dir), "--sizes", "8",

@@ -210,3 +210,20 @@ def test_ap_array_refuses_int64_overflow_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_ap_array_block_edges(monkeypatch, block):
+    import apsa.core as core
+
+    monkeypatch.setattr(core, "_BLOCK", block)
+    for n in range(1, 41):
+        ks = coprimes(n) or [1]
+        for k, p1 in {(ks[0], n), (ks[len(ks) // 2], n // 2 + 1), (ks[-1], 1)}:
+            perm = APPerm(n, k, p1)
+            reference = [(p1 - 1 + i * k) % n + 1 for i in range(n)]
+            for start in range(n + 1):
+                for stop in range(start, n + 1):
+                    got = ap_array(perm, start, stop)
+                    assert got.dtype == np.int64
+                    assert got.tolist() == reference[start:stop], (perm, start, stop)

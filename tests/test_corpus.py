@@ -277,6 +277,18 @@ def test_chunked_generation_is_byte_identical(tmp_path, monkeypatch):
         assert (whole / entry.sa_name).read_bytes() == entry_sa_array(entry.perm).tobytes()
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_chunked_generation_is_byte_identical_at_small_blocks(tmp_path, monkeypatch, block):
+    import apsa.core as core
+
+    reference = tmp_path / "reference"
+    generate_corpus(reference, [7, 8, 20, 64, 101], list(CASES), 5, threads=1)
+    monkeypatch.setattr(core, "_BLOCK", block)
+    test_chunked_generation_is_byte_identical(tmp_path, monkeypatch)
+    for name in sorted(p.name for p in reference.iterdir()):
+        assert (reference / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
+
+
 @pytest.mark.parametrize(
     "corrupt, reported",
     [

@@ -10,6 +10,7 @@ import random
 from math import gcd
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -217,6 +218,29 @@ def test_ap_array_ranges_are_slices(perm, data):
     start = data.draw(st.integers(0, perm.n))
     stop = data.draw(st.integers(start, perm.n))
     assert np.array_equal(ap_array(perm, start, stop), ap_array(perm)[start:stop])
+
+
+@bounded
+@given(st.data())
+def test_ap_array_matches_python_ints_across_blocks(data):
+    """Ranges a few blocks long, n up to the int64 guard, against Python integers."""
+    import apsa.core as core
+
+    n = data.draw(st.one_of(st.integers(1, 200), st.integers(2**31, 2**63 - 1)))
+    if n == 1:
+        perm = APPerm(1, 1, 1)
+    else:
+        top = min(n - 1, (2**63 - 2) // (n - 1))  # (n - 1)*k + p1 must fit in int64
+        k = data.draw(st.integers(1, top).filter(lambda k: gcd(k, n) == 1))
+        perm = APPerm(n, k, data.draw(st.integers(1, min(n, 2**63 - 1 - (n - 1) * k))))
+    block = data.draw(st.sampled_from([1, 2, 3, 7, 64, core._BLOCK]))
+    start = data.draw(st.integers(0, n))
+    length = block * data.draw(st.integers(0, 4)) + data.draw(st.integers(0, block + 1))
+    stop = min(start + length, n)
+    want = [(perm.p1 - 1 + i * perm.k) % n + 1 for i in range(start, stop)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK", block)
+        assert ap_array(perm, start, stop).tolist() == want
 
 
 @bounded
