@@ -108,13 +108,21 @@ def _check_int64(perm: APPerm) -> None:
         )
 
 
+def _check_range(perm: APPerm, start: int, stop: Optional[int]) -> int:
+    """stop, n when None; raise ValueError unless 0 <= start <= stop <= n."""
+    stop = perm.n if stop is None else stop
+    if not 0 <= start <= stop <= perm.n:
+        raise ValueError(f"range [{start}, {stop}) is not inside [0, {perm.n}]")
+    return stop
+
+
 def ap_array(perm: APPerm, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
     """Entries [start, stop) of the permutation as an int64 vector.
 
     Entry i (0-based) is (p1 - 1 + i*k) mod n + 1; stop defaults to n.  Raises
-    ValueError, before allocating anything, when (n - 1)*k + p1 does not fit
-    in int64, since the products would wrap silently.  Applied to
-    :func:`ap_inverse` of a permutation it yields the inverse suffix array.
+    ValueError, before allocating anything, when the range is not inside [0, n]
+    or (n - 1)*k + p1 does not fit in int64, since the products would wrap
+    silently.  Applied to :func:`ap_inverse` it yields the inverse suffix array.
 
     The first _BLOCK entries take a multiply and a modulo each.  Every later
     block is that first block plus a*k mod n, a being its offset from start:
@@ -126,7 +134,7 @@ def ap_array(perm: APPerm, start: int = 0, stop: Optional[int] = None) -> np.nda
     """
     n, k = perm.n, perm.k
     _check_int64(perm)
-    out = np.arange(start, n if stop is None else stop, dtype=np.int64)
+    out = np.arange(start, _check_range(perm, start, stop), dtype=np.int64)
     head = out[:_BLOCK]
     head *= k
     head += perm.p1 - 1

@@ -16,10 +16,12 @@ profile is :func:`apsa.textindex.bwt_runs`.  The files are:
   line after a format_version header.
 
 Both closed forms give any slice of an entry without the rest, so generation
-and verification work in chunks of 2**20 positions.  The chunks of all
-entries go to one pool of worker threads, parallel within an entry as well
-as across entries, and memory is O(threads x chunk) rather than O(n).  The
-number of threads is capped by the APSA_THREADS environment variable.  Within
+and verification work in chunks of 2**20 positions on a pool of worker
+threads, and memory is O(threads x chunk) rather than O(n).  Generation maps
+the chunks of all entries on the pool at once; verification checks one file
+at a time, each file's chunks on the pool.  The process keeps one pool per
+worker count for later calls (a forked child starts afresh).  The number of
+threads is capped by the APSA_THREADS environment variable.  Within
 a chunk, the SA and the inverse suffix array behind the text come from
 :func:`apsa.core.ap_array`, which takes a modulo per entry only in its
 first block of 2**15 and its last one or two: every other block is the
@@ -38,8 +40,8 @@ from __future__ import annotations
 import os
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 from math import gcd
 from typing import Iterable, Optional
 
@@ -266,11 +268,19 @@ def _chunks(n: int) -> list[tuple[int, int]]:
     return [(a, min(a + _CHUNK_ENTRIES, n)) for a in range(0, n, _CHUNK_ENTRIES)]
 
 
+@lru_cache(maxsize=None)
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's pool of `workers` threads (started as tasks need them), kept for reuse."""
+    return ThreadPoolExecutor(max_workers=workers)
+
+
+# A forked child has none of the parent's worker threads: a kept pool would wait forever.
+os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def _run(fn, tasks: list[tuple], threads: int) -> list:
-    """fn(*task) for every task on a pool of at most `threads` workers, results in task order."""
-    workers = min(threads, max(1, len(tasks)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda task: fn(*task), tasks))
+    """fn(*task) for every task on the pool of `threads` workers, results in task order."""
+    return list(_pool(threads).map(lambda task: fn(*task), tasks))
 
 
 def _write_chunk(out_dir: str, entry: CorpusEntry, start: int, stop: int) -> None:
@@ -297,28 +307,27 @@ def generate_corpus(
     of all entries on one thread pool, so memory stays O(threads x chunk).
     """
     threads = thread_count(threads)  # a bad APSA_THREADS fails before any file exists
-    os.makedirs(out_dir, exist_ok=True)
     sizes = list(dict.fromkeys(sizes))
     cases = list(dict.fromkeys(cases))
+    perms = {(n, case): pick_parameters(n, case, seed) for n in sizes for case in cases}
+    os.makedirs(out_dir, exist_ok=True)  # only once every size and case is valid
     entries = []
-    for n in sizes:
-        for case in cases:
-            perm = pick_parameters(n, case, seed)
-            _check_int64(perm)  # refuse before any entry data is written
-            _check_int64(ap_inverse(perm))
-            entry_id = f"{case}-n{n}"
-            entries.append(
-                CorpusEntry(
-                    id=entry_id,
-                    n=n,
-                    k=perm.k,
-                    p1=perm.p1,
-                    case=case,
-                    text_name=f"{entry_id}.txt",
-                    sa_name=f"{entry_id}.sa",
-                    bwt_runs=predicted_bwt_runs(perm),
-                )
+    for (n, case), perm in perms.items():
+        _check_int64(perm)  # refuse before any entry data is written
+        _check_int64(ap_inverse(perm))
+        entry_id = f"{case}-n{n}"
+        entries.append(
+            CorpusEntry(
+                id=entry_id,
+                n=n,
+                k=perm.k,
+                p1=perm.p1,
+                case=case,
+                text_name=f"{entry_id}.txt",
+                sa_name=f"{entry_id}.sa",
+                bwt_runs=predicted_bwt_runs(perm),
             )
+        )
     for entry in entries:
         for name in (entry.text_name, entry.sa_name):
             open(os.path.join(out_dir, name), "wb").close()
@@ -375,28 +384,8 @@ def _require_size(path: str, size: int, what: str) -> None:
         )
 
 
-def _sa_check(path: str, n: int, k: int, p1: int, zero_based: bool):
-    """Chunk check of a candidate SA file, after checking its size."""
-    _require_size(path, 8 * n, f" for n={n}")
-    return partial(_sa_first_bad, path, n, k, p1, zero_based)
-
-
-def _bwt_check(path: str, runs: Iterable[tuple[str, int]]):
-    """Chunk check of a candidate BWT file, after checking its size."""
-    runs = tuple(runs)
-    counts = [count for _, count in runs]
-    _require_size(path, sum(counts), "")
-    chars = np.frombuffer("".join(ch for ch, _ in runs).encode("ascii"), dtype=np.uint8)
-    return partial(_bwt_first_bad, path, chars, np.cumsum([0, *counts]))
-
-
-def _first_bad(check, n: int) -> Optional[int]:
-    """The first failing offset over all chunks, stopping at the first failing chunk."""
-    return next(filter(None, (check(a, b) for a, b in _chunks(n))), None)
-
-
 def verify_sa_file(
-    path: str, n: int, k: int, p1: int, zero_based: bool = False
+    path: str, n: int, k: int, p1: int, zero_based: bool = False, threads: Optional[int] = None
 ) -> CheckResult:
     """Streaming check that the file holds exactly the declared progression.
 
@@ -404,16 +393,25 @@ def verify_sa_file(
     advanced by k modulo n, which determines the whole array; the first
     offending 1-based index is reported on failure.
     """
-    first = _first_bad(_sa_check(path, n, k, p1, zero_based), n)
+    threads = thread_count(threads)
+    _require_size(path, 8 * n, f" for n={n}")
+    check = partial(_sa_first_bad, path, n, k, p1, zero_based)
+    first = next(filter(None, _run(check, _chunks(n), threads)), None)
     return CheckResult("", "sa", first is None, first)
 
 
 def verify_bwt_file(
-    path: str, runs: Iterable[tuple[str, int]]
+    path: str, runs: Iterable[tuple[str, int]], threads: Optional[int] = None
 ) -> CheckResult:
     """Streaming comparison of a candidate BWT against the predicted profile."""
+    threads = thread_count(threads)
     runs = tuple(runs)
-    first = _first_bad(_bwt_check(path, runs), sum(count for _, count in runs))
+    counts = [count for _, count in runs]
+    n = sum(counts)
+    _require_size(path, n, "")
+    chars = np.frombuffer("".join(ch for ch, _ in runs).encode("ascii"), dtype=np.uint8)
+    check = partial(_bwt_first_bad, path, chars, np.cumsum([0, *counts]))
+    first = next(filter(None, _run(check, _chunks(n), threads)), None)
     return CheckResult("", "bwt", first is None, first)
 
 
@@ -431,9 +429,9 @@ def verify_corpus(
     By default each entry's SA file named in the manifest is checked, plus a
     sibling <id>.bwt candidate if one exists.  A single entry can be targeted
     with explicit candidate paths instead; a candidate path without only_id
-    raises ValueError before any file is opened.  The chunks of every check
-    go to one thread pool; each check reports its smallest failing offset.
-    Results keep manifest order.
+    raises ValueError before any file is opened.  Each file is checked in
+    turn by verify_sa_file or verify_bwt_file, which reports its smallest
+    failing offset.  Results keep manifest order.
     """
     if only_id is None and (sa_override or bwt_override):
         raise ValueError("candidate --sa/--bwt files need --id to name their entry")
@@ -446,20 +444,12 @@ def verify_corpus(
         if not entries:
             raise ValueError(f"no entry with id {only_id!r} in {manifest_path}")
 
-    checks = []  # (entry id, check name, n, chunk check)
+    results = []
     for entry in entries:
         sa_path = sa_override or os.path.join(base, entry.sa_name)
-        sa = _sa_check(sa_path, entry.n, entry.k, entry.p1, zero_based)
-        checks.append((entry.id, "sa", entry.n, sa))
+        found = [verify_sa_file(sa_path, entry.n, entry.k, entry.p1, zero_based, threads)]
         bwt_path = bwt_override or os.path.join(base, f"{entry.id}.bwt")
         if bwt_override or os.path.exists(bwt_path):
-            checks.append((entry.id, "bwt", entry.n, _bwt_check(bwt_path, entry.bwt_runs)))
-    tasks = [(i, a, b) for i, (_, _, n, _) in enumerate(checks) for a, b in _chunks(n)]
-    first_bad: dict[int, int] = {}
-    for (i, _, _), first in zip(tasks, _run(lambda i, a, b: checks[i][3](a, b), tasks, threads)):
-        if first is not None:
-            first_bad.setdefault(i, first)  # chunks come in order: the first is the smallest
-    return [
-        CheckResult(entry_id, name, i not in first_bad, first_bad.get(i))
-        for i, (entry_id, name, _, _) in enumerate(checks)
-    ]
+            found.append(verify_bwt_file(bwt_path, entry.bwt_runs, threads))
+        results.extend(replace(res, entry_id=entry.id) for res in found)
+    return results

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import APPerm, ap_array, ap_inverse, ap_position_of, canonical_residue
+from .core import APPerm, _check_range, ap_array, ap_inverse, ap_position_of, canonical_residue
 from .errors import (
     AlphabetTooSmallError,
     InvalidSplitError,
@@ -194,9 +194,9 @@ def _text_codes(
     Above that one binary search, O(n log sigma), finds every rank (row r
     shifted by r (n + 1), so all rows form one sorted array, less the r m
     boundaries before it) and reads its code off :func:`_rank_alphabet`.
-    stop defaults to n.
+    stop defaults to n; a range not inside [0, n] raises ValueError.
     """
-    stop = perm.n if stop is None else stop
+    stop = _check_range(perm, start, stop)
     bounds = np.asarray(boundaries, dtype=np.int64)
     m = bounds.shape[-1]
     isa = ap_array(ap_inverse(perm), start, stop) if m else None

@@ -204,6 +204,15 @@ def test_corpus_bad_thread_env_exits_2_before_writing(tmp_path, capsys, monkeypa
     assert "APSA_THREADS=abc" in err
 
 
+@pytest.mark.parametrize("sizes, cases", [("0", "unary"), ("5", "unary,nope")])
+def test_corpus_gen_bad_parameters_leave_no_directory(tmp_path, capsys, sizes, cases):
+    out_dir = tmp_path / "d"
+    code, out, _ = run(capsys, "corpus", "gen", "--out", str(out_dir), "--sizes", sizes,
+                       "--cases", cases)
+    assert (code, out) == (2, "")
+    assert not out_dir.exists()
+
+
 def test_corpus_verify_missing_file(tmp_path, capsys):
     out_dir = tmp_path / "corpus"
     run(capsys, "corpus", "gen", "--out", str(out_dir), "--sizes", "8",

@@ -1,10 +1,14 @@
+import os
 import random
 import re
+import signal
+import time
+import warnings
 
 import numpy as np
 import pytest
 
-from apsa.core import APPerm, ap_materialize
+from apsa.core import APPerm, ap_array, ap_materialize
 from apsa.corpus import (
     CASES,
     entry_sa_array,
@@ -367,3 +371,114 @@ def test_generation_peak_memory_is_bounded(tmp_path):
     assert code == 0, out
     assert (tmp_path / "c" / "ternary-n10000000.sa").stat().st_size == 8 * 10**7
     assert peak_mib < 150, peak_mib
+
+
+def test_ranges_outside_the_entry_raise():
+    for n in range(1, 13):
+        edges = [-2, -1, 0, 1, n - 1, n, n + 1, n + 3]
+        for case in CASES:
+            try:
+                perm = pick_parameters(n, case, 0)
+            except ValueError:
+                continue
+            for start in edges:
+                for stop in edges + [None]:
+                    if 0 <= start <= (n if stop is None else stop) <= n:
+                        continue
+                    for build in (ap_array, entry_sa_array, entry_text_bytes):
+                        with pytest.raises(ValueError, match="not inside"):
+                            build(perm, start, stop)
+    with pytest.raises(ValueError, match="not inside"):
+        ap_array(APPerm(10**9 + 7, 10**9, 1), 10**10, 10**10 + 3)
+
+
+def _corrupted_entry(out, corrupt):
+    """A 64-entry ternary corpus whose SA and .bwt files are corrupted at the given offsets."""
+    generate_corpus(out, [64], ["ternary"], "chunks")
+    entry = read_manifest(out / "manifest.txt").entries[0]
+    text = (out / entry.text_name).read_bytes().decode()
+    bwt = bytearray(bwt_from_sa(text).chars.encode())
+    sa = np.fromfile(out / entry.sa_name, dtype="<u8")
+    for offset in corrupt:
+        sa[offset - 1] = sa[offset - 1] % entry.n + 1
+        bwt[offset - 1] ^= 1
+    sa.tofile(out / entry.sa_name)
+    (out / f"{entry.id}.bwt").write_bytes(bytes(bwt))
+    return entry
+
+
+@pytest.mark.parametrize("corrupt", [[], [8], [14], [1], [64], [50, 31]])
+def test_single_file_checks_match_verify_corpus_at_every_thread_count(tmp_path, monkeypatch, corrupt):
+    import apsa.corpus as corpus
+
+    monkeypatch.setattr(corpus, "_CHUNK_ENTRIES", 7)
+    out = tmp_path / "c"
+    entry = _corrupted_entry(out, corrupt)
+    expected = min(corrupt, default=None)
+    assert [r.first_bad for r in verify_corpus(out / "manifest.txt", threads=2)] == [expected] * 2
+    for threads in (1, 2, 4):
+        sa = verify_sa_file(out / entry.sa_name, entry.n, entry.k, entry.p1, threads=threads)
+        bwt = verify_bwt_file(out / f"{entry.id}.bwt", entry.bwt_runs, threads=threads)
+        assert (sa.ok, sa.first_bad) == (expected is None, expected)
+        assert (bwt.ok, bwt.first_bad) == (expected is None, expected)
+    monkeypatch.setenv("APSA_THREADS", "abc")
+    with pytest.raises(ValueError, match="APSA_THREADS=abc"):
+        verify_sa_file(out / entry.sa_name, entry.n, entry.k, entry.p1)
+    with pytest.raises(ValueError, match="APSA_THREADS=abc"):
+        verify_bwt_file(out / f"{entry.id}.bwt", entry.bwt_runs)
+
+
+def test_verify_corpus_runs_the_single_file_checks(tmp_path, monkeypatch):
+    import apsa.corpus as corpus
+
+    out = tmp_path / "c"
+    manifest = generate_corpus(out, [8, 20], ["binary1", "ternary"], 3)
+    with_bwt = manifest.entries[1]
+    text = (out / with_bwt.text_name).read_bytes().decode()
+    (out / f"{with_bwt.id}.bwt").write_bytes(bwt_from_sa(text).chars.encode())
+    calls = []
+    for name in ("verify_sa_file", "verify_bwt_file"):
+
+        def spy(*args, real=getattr(corpus, name), name=name, **kwargs):
+            calls.append((name, os.path.basename(args[0]), args[1]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(corpus, name, spy)
+    results = verify_corpus(out / "manifest.txt")
+    expected, tags = [], []
+    for entry in manifest.entries:
+        expected.append(("verify_sa_file", entry.sa_name, entry.n))
+        tags.append((entry.id, "sa", True))
+        if entry is with_bwt:
+            expected.append(("verify_bwt_file", f"{entry.id}.bwt", entry.bwt_runs))
+            tags.append((entry.id, "bwt", True))
+    assert calls == expected
+    assert [(r.entry_id, r.check, r.ok) for r in results] == tags
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_verifies_after_the_parent(tmp_path, monkeypatch):
+    import apsa.corpus as corpus
+
+    monkeypatch.setattr(corpus, "_CHUNK_ENTRIES", 7)
+    entry = generate_corpus(tmp_path / "c", [100], ["ternary"], 1, threads=2).entries[0]
+    path = tmp_path / "c" / entry.sa_name
+    assert verify_sa_file(path, entry.n, entry.k, entry.p1, threads=2).ok
+    with warnings.catch_warnings():
+        # Python 3.12+ warns that forking a process that runs threads may deadlock.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if verify_sa_file(path, entry.n, entry.k, entry.p1, threads=2).ok else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's verify did not finish")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status[1]) == 0
