@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import groupby
 from math import comb
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from . import corpus as corpus_mod
@@ -169,11 +171,8 @@ def _cmd_corpus_verify(args) -> int:
         sa_override=args.sa,
         bwt_override=args.bwt,
     )
-    by_entry: dict[str, list] = {}
-    for res in results:
-        by_entry.setdefault(res.entry_id, []).append(res)
     failed = False
-    for entry_id, group in by_entry.items():
+    for entry_id, group in groupby(results, key=attrgetter("entry_id")):
         parts = [f"id={entry_id}"]
         for res in group:
             parts.append(f"{res.check}={'pass' if res.ok else 'fail'}")

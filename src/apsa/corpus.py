@@ -27,12 +27,12 @@ a chunk, the SA and the inverse suffix array behind the text come from
 first block of 2**15 and its last one or two: every other block is the
 first plus one offset, less n where the sum reaches n.
 
-Verification is streaming and O(n): a candidate suffix array is accepted
-exactly when its first value is the declared first entry and every following
-value continues the progression, which pins every single value; a candidate
-BWT is compared against the predicted rotation profile.  Reading a manifest
-checks every entry against its (n, k, p1): file names must stay inside the
-corpus directory, and the case tag and BWT runs must be the predicted ones.
+Verification compares each memory-mapped chunk of a candidate file with the
+same chunk of its closed form, the SA from :func:`apsa.core.ap_array` or the
+expanded BWT runs, and reports the first differing offset; it refuses the
+(n, k, p1) that generation refuses.  Reading a manifest checks every entry
+against its (n, k, p1): file names must stay inside the corpus directory, the
+case tag and BWT runs must be the predicted ones, and no key may repeat.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Optional
 
@@ -239,6 +239,8 @@ def read_manifest(path: str) -> CorpusManifest:
                     raise CorpusFormatError(
                         f"{path}:{line_no}: token {token!r} is not key=value"
                     )
+                if key in fields:
+                    raise CorpusFormatError(f"{path}:{line_no}: key {key!r} repeated")
                 fields[key] = value
             try:
                 if version is None:
@@ -338,42 +340,20 @@ def generate_corpus(
     return manifest
 
 
-def _sa_first_bad(
-    path: str, n: int, k: int, p1: int, zero_based: bool, start: int, stop: int
-) -> Optional[int]:
-    """1-based offset of the first bad value among entries [start, stop), or None.
+def _first_diff(path: str, n: int, expected, threads: int) -> Optional[int]:
+    """1-based offset of the first of the file's n entries unequal to expected, or None.
 
-    Reads one value before start.  With z = 1 for 0-based candidates, a value
-    is bad when it lies outside [1 - z, n - z], when it is the first and not
-    p1 - z, or when it differs from its predecessor by neither k nor k - n
-    (mod 2**64).  That holds exactly when it is not (predecessor + k - 1) mod
-    n + 1, with no vector modulo, and values of 2**63 or more cannot wrap.
+    expected(start, stop) is entries [start, stop) of the closed form.  Each _CHUNK_ENTRIES
+    chunk of the file is memory-mapped with its dtype, little-endian, and compared on the pool.
     """
-    lo = max(start - 1, 0)
-    values = np.fromfile(path, dtype="<u8", count=stop - lo, offset=8 * lo)
-    z = int(zero_based)
-    bad = values[start - lo :] - np.uint64(1 - z) >= np.uint64(n)
-    steps = np.diff(values)
-    bad[bad.size - steps.size :] |= (steps != np.uint64(k)) & (
-        steps != np.uint64((k - n) % 2**64)
-    )
-    if start == 0:
-        bad[0] |= values[0] != p1 - z
-    return start + int(bad.argmax()) + 1 if bad.any() else None
 
+    def chunk(start: int, stop: int) -> Optional[int]:
+        want = expected(start, stop)
+        dtype = want.dtype.newbyteorder("<")
+        bad = np.memmap(path, dtype, "r", want.itemsize * start, (stop - start,)) != want
+        return start + int(bad.argmax()) + 1 if bad.any() else None
 
-def _bwt_first_bad(
-    path: str, chars: np.ndarray, edges: np.ndarray, start: int, stop: int
-) -> Optional[int]:
-    """1-based offset of the first mismatch among BWT positions [start, stop), or None.
-
-    Run j holds chars[j] over [edges[j], edges[j + 1]); only the runs that
-    overlap the chunk are expanded.
-    """
-    got = np.fromfile(path, dtype=np.uint8, count=stop - start, offset=start)
-    expected = np.repeat(chars, np.diff(np.clip(edges, start, stop)))
-    bad = got != expected
-    return start + int(bad.argmax()) + 1 if bad.any() else None
+    return next(filter(None, _run(chunk, _chunks(n), threads)), None)
 
 
 def _require_size(path: str, size: int, what: str) -> None:
@@ -389,14 +369,23 @@ def verify_sa_file(
 ) -> CheckResult:
     """Streaming check that the file holds exactly the declared progression.
 
-    The first value must be p1 and each later value must be its predecessor
-    advanced by k modulo n, which determines the whole array; the first
-    offending 1-based index is reported on failure.
+    Parameters that generation refuses (not a progression, or past int64)
+    raise ValueError before the file is opened.  Each chunk of the file is
+    compared with the same entries of :func:`apsa.core.ap_array`, less 1 for
+    a 0-based candidate; the first differing 1-based index is reported.
     """
     threads = thread_count(threads)
+    perm = APPerm(n, k, p1)
+    _check_int64(perm)
     _require_size(path, 8 * n, f" for n={n}")
-    check = partial(_sa_first_bad, path, n, k, p1, zero_based)
-    first = next(filter(None, _run(check, _chunks(n), threads)), None)
+
+    def expected(start: int, stop: int) -> np.ndarray:
+        values = ap_array(perm, start, stop).view(np.uint64)
+        if zero_based:
+            values -= 1
+        return values
+
+    first = _first_diff(path, n, expected, threads)
     return CheckResult("", "sa", first is None, first)
 
 
@@ -410,8 +399,10 @@ def verify_bwt_file(
     n = sum(counts)
     _require_size(path, n, "")
     chars = np.frombuffer("".join(ch for ch, _ in runs).encode("ascii"), dtype=np.uint8)
-    check = partial(_bwt_first_bad, path, chars, np.cumsum([0, *counts]))
-    first = next(filter(None, _run(check, _chunks(n), threads)), None)
+    edges = np.cumsum([0, *counts])  # run j holds chars[j] over [edges[j], edges[j + 1])
+    first = _first_diff(
+        path, n, lambda start, stop: np.repeat(chars, np.diff(np.clip(edges, start, stop))), threads
+    )
     return CheckResult("", "bwt", first is None, first)
 
 

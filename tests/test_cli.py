@@ -222,6 +222,28 @@ def test_corpus_verify_missing_file(tmp_path, capsys):
     assert code == 3
 
 
+def test_corpus_verify_refuses_int64_overflow_before_reading(tmp_path, capsys):
+    from apsa.core import APPerm
+    from apsa.corpus import predicted_bwt_runs
+    from apsa.textindex import compact_runs
+
+    # A hand-written entry that gen refuses, with empty files: the parameters
+    # are refused (exit 2), not the file sizes (exit 3).
+    perm = APPerm(4000000007, 4000000004, 1)
+    out_dir = tmp_path / "corpus"
+    out_dir.mkdir()
+    for name in ("big.txt", "big.sa"):
+        (out_dir / name).write_bytes(b"")
+    (out_dir / "manifest.txt").write_text(
+        "format_version=1\n"
+        f"id=big n={perm.n} k={perm.k} p1={perm.p1} case=binary3 text=big.txt sa=big.sa"
+        f" bwt={compact_runs(predicted_bwt_runs(perm))}\n"
+    )
+    code, out, err = run(capsys, "corpus", "verify", str(out_dir / "manifest.txt"))
+    assert (code, out) == (2, ""), err
+    assert "overflows int64" in err
+
+
 def test_unknown_case_is_parameter_error(tmp_path, capsys):
     code, _, err = run(
         capsys, "corpus", "gen", "--out", str(tmp_path / "x"),

@@ -482,3 +482,77 @@ def test_forked_child_verifies_after_the_parent(tmp_path, monkeypatch):
             pytest.fail("the forked child's verify did not finish")
         time.sleep(0.01)
     assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
+@pytest.mark.parametrize(
+    "n, k, p1, match",
+    [
+        (4000000007, 4000000004, 1, "overflows int64"),
+        (0, 1, 1, "length must be positive"),
+        (64, 2, 1, "coprime"),
+    ],
+)
+def test_verify_sa_file_refuses_what_generation_refuses(tmp_path, n, k, p1, match):
+    # An empty file is the right size only for n = 0; the parameters are refused first.
+    path = tmp_path / "cand.sa"
+    path.write_bytes(b"")
+    with pytest.raises(ValueError, match=match):
+        verify_sa_file(path, n, k, p1)
+
+
+@pytest.mark.parametrize(
+    "line_no, key, extra",
+    [(2, "sa", "sa=other.sa"), (2, "n", "n=64"), (1, "format_version", "format_version=1")],
+)
+def test_manifest_rejects_repeated_keys(tmp_path, line_no, key, extra):
+    out = tmp_path / "c"
+    generate_corpus(out, [64], ["binary3"], 3)
+    path = out / "manifest.txt"
+    lines = path.read_text().splitlines()
+    lines[line_no - 1] += " " + extra
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusFormatError, match=f"manifest.txt:{line_no}: key '{key}' repeated"):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("zero_based", [False, True])
+def test_verify_reports_the_first_difference_from_the_closed_form(
+    tmp_path, monkeypatch, threads, zero_based
+):
+    import apsa.corpus as corpus
+
+    monkeypatch.setattr(corpus, "_CHUNK_ENTRIES", 7)
+    rng = np.random.default_rng([20261019, threads, zero_based])
+    special = np.array([0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1], dtype=np.uint64)
+    sa_path, bwt_path = tmp_path / "cand.sa", tmp_path / "cand.bwt"
+    for n in (1, 2, 7, 8, 15, 40, 64, 101):
+        ks = [k for k in range(1, n) if np.gcd(k, n) == 1] or [1]
+        for _ in range(12):
+            perm = APPerm(n, int(rng.choice(ks)), int(rng.integers(1, n + 1)))
+            truth = ap_array(perm).view(np.uint64) - np.uint64(zero_based)
+            offsets = rng.choice(n, size=rng.integers(0, min(n, 4) + 1), replace=False)
+            sa = truth.copy()
+            for i in offsets:
+                kind = rng.integers(3)
+                if kind == 0:
+                    sa[i] = rng.integers(0, 2**64, dtype=np.uint64)
+                elif kind == 1:
+                    sa[i] = rng.choice(special)
+                else:
+                    sa[i] = rng.integers(0, n + 2)
+            sa.astype("<u8").tofile(sa_path)
+            diff = np.flatnonzero(sa != truth)
+            expected = int(diff[0]) + 1 if diff.size else None
+            res = verify_sa_file(sa_path, perm.n, perm.k, perm.p1, zero_based, threads)
+            assert (res.ok, res.first_bad) == (expected is None, expected), (perm, sa)
+
+            runs = predicted_bwt_runs(perm)
+            good = np.frombuffer("".join(ch * count for ch, count in runs).encode(), np.uint8)
+            bwt = good.copy()
+            bwt[offsets] = rng.integers(0, 256, size=offsets.size)
+            bwt.tofile(bwt_path)
+            diff = np.flatnonzero(bwt != good)
+            expected = int(diff[0]) + 1 if diff.size else None
+            res = verify_bwt_file(bwt_path, runs, threads)
+            assert (res.ok, res.first_bad) == (expected is None, expected), (perm, bwt)
