@@ -88,7 +88,7 @@ def christoffel_sa_params(p: int, q: int) -> APPerm:
     """Suffix-array descriptor of the lower Christoffel word: (p+q, q^{-1}, 1)."""
     params = _positive_slope(p, q)
     n = params.n
-    return APPerm(n, mod_inverse(q, n) if n > 1 else 1, 1)
+    return APPerm(n, mod_inverse(q, n), 1)
 
 
 def christoffel_bwt(p: int, q: int) -> BwtProfile:
@@ -111,8 +111,6 @@ def factorization_index(p: int, q: int) -> int:
     """
     params = _positive_slope(p, q)
     n = params.n
-    if n < 2:
-        raise ValueError("a single character has no two-factor factorization")
     k = mod_inverse(q, n)
     idx = canonical_residue(p + 2, n)
     return canonical_residue(1 + (idx - 1) * k, n)

@@ -4,8 +4,9 @@ Subcommands: synth, classify, christoffel, fib, enumerate, corpus gen,
 corpus verify.  Output is machine readable: space-separated key=value pairs,
 one record per line.  Exit codes: 0 success, 1 verification failure,
 2 invalid parameters, 3 I/O or file-format error.  `christoffel`,
-`enumerate` and `fib` exit 2 before doing any work when their record would
-exceed MAX_RECORD_CHARS characters.  `enumerate` streams its record.
+`enumerate`, `fib` and `synth` exit 2 before doing any work when their
+record would exceed MAX_RECORD_CHARS characters (`synth` reports an int64
+overflow first).  `enumerate` streams its record.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .christoffel import (
     christoffel_word,
     factorization_index,
 )
-from .core import APPerm
+from .core import APPerm, _check_int64, ap_inverse
 from .enumeration import enumerate_strings
 from .errors import CorpusFormatError
 from .lyndonlab import _SWAP, balanced_via_slope, fibonacci_lengths, fibonacci_word
@@ -33,9 +34,10 @@ from .textindex import _smallest_period, bwt_runs, compact_runs, progression_of
 
 __all__ = ["main", "MAX_RECORD_CHARS"]
 
-# Largest record `christoffel`, `enumerate` or `fib` prints.  `christoffel`
-# holds the whole record in memory before it prints and `fib` the word and its
-# swapped copy, so a larger request would exhaust memory instead.
+# Largest record `christoffel`, `enumerate`, `fib` or `synth` prints.
+# `christoffel` and `synth` hold the whole record in memory before they print
+# and `fib` the word and its swapped copy, so a larger request would exhaust
+# memory instead.
 MAX_RECORD_CHARS = 1 << 30
 
 
@@ -45,6 +47,9 @@ def _perm_from_args(args) -> APPerm:
 
 def _cmd_synth(args) -> int:
     perm = _perm_from_args(args)
+    _check_int64(perm)  # the overflow message comes before the size refusal
+    _check_int64(ap_inverse(perm))
+    _check_record_size(perm.n)
     if args.sigma is None and not args.splits:
         result = synth(perm)
     else:

@@ -202,8 +202,6 @@ def ap_inverse(perm: APPerm) -> APPerm:
     The inverse progresses with the inverse ratio, and its first entry is
     (1 - last) * k_inverse reduced into [1..n].
     """
-    if perm.n == 1:
-        return perm
     kinv = perm.k_inverse
     p1 = canonical_residue((1 - perm.last) * kinv, perm.n)
     return APPerm(perm.n, kinv, p1)
@@ -220,6 +218,4 @@ def ap_position_of(perm: APPerm, value: int) -> int:
     """Index i (1-based) with materialized entry i equal to the given value."""
     if not 1 <= value <= perm.n:
         raise ValueError(f"value {value} outside [1..{perm.n}]")
-    if perm.n == 1:
-        return 1
     return canonical_residue((value - perm.p1) * perm.k_inverse + 1, perm.n)

@@ -20,19 +20,21 @@ and verification work in chunks of 2**20 positions on a pool of worker
 threads, and memory is O(threads x chunk) rather than O(n).  Generation maps
 the chunks of all entries on the pool at once; verification checks one file
 at a time, each file's chunks on the pool.  The process keeps one pool per
-worker count for later calls (a forked child starts afresh).  The number of
-threads is capped by the APSA_THREADS environment variable.  Within
-a chunk, the SA and the inverse suffix array behind the text come from
-:func:`apsa.core.ap_array`, which takes a modulo per entry only in its
-first block of 2**15 and its last one or two: every other block is the
-first plus one offset, less n where the sum reaches n.
+worker count for later calls (a forked child starts afresh).  Threads: the
+`threads` argument, else the APSA_THREADS environment variable, else the CPUs
+in the process's affinity mask.  Within a chunk, the SA and the inverse
+suffix array behind the text come from :func:`apsa.core.ap_array`, which
+takes a modulo per entry only in its first block of 2**15 and its last one or
+two: every other block is the first plus one offset, less n where the sum
+reaches n.
 
 Verification compares each memory-mapped chunk of a candidate file with the
 same chunk of its closed form, the SA from :func:`apsa.core.ap_array` or the
 expanded BWT runs, and reports the first differing offset; it refuses the
 (n, k, p1) that generation refuses.  Reading a manifest checks every entry
 against its (n, k, p1): file names must stay inside the corpus directory, the
-case tag and BWT runs must be the predicted ones, and no key may repeat.
+case tag and BWT runs must be the predicted ones, and no key may repeat or
+fall outside the eight that generation writes.
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ MANIFEST_NAME = "manifest.txt"
 _CHUNK_ENTRIES = 1 << 20
 
 CASES = ("unary", "binary1", "binary2", "binary3", "ternary")
+# The keys of a manifest entry line, as _manifest_line writes them.
+_ENTRY_KEYS = ("id", "n", "k", "p1", "case", "text", "sa", "bwt")
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,7 @@ class CheckResult:
 
 
 def thread_count(requested: Optional[int] = None) -> int:
-    """Worker threads: `requested`, else APSA_THREADS, else the CPU count; at least 1."""
+    """Worker threads: `requested`, else APSA_THREADS, else the usable CPUs; at least 1."""
     if requested is not None:
         return max(1, requested)
     env = os.environ.get("APSA_THREADS")
@@ -115,6 +119,8 @@ def thread_count(requested: Optional[int] = None) -> int:
             return max(1, int(env))
         except ValueError:
             raise ValueError(f"APSA_THREADS={env} is not an integer") from None
+    if hasattr(os, "sched_getaffinity"):  # the affinity mask, not every CPU of the machine
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -202,6 +208,9 @@ def _bare_name(key: str, value: str) -> str:
 
 def _parse_entry(fields: dict[str, str]) -> CorpusEntry:
     """One manifest entry, checked against its (n, k, p1); raises KeyError or ValueError."""
+    unknown = [key for key in fields if key not in _ENTRY_KEYS]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
     entry = CorpusEntry(
         id=_bare_name("id", fields["id"]),
         n=_decimal("n", fields["n"]),
@@ -359,9 +368,7 @@ def _first_diff(path: str, n: int, expected, threads: int) -> Optional[int]:
 def _require_size(path: str, size: int, what: str) -> None:
     found = os.path.getsize(path)
     if found != size:
-        raise CorpusFormatError(
-            f"{path}: expected {size} bytes{what}, found {found}", offset=min(found, size)
-        )
+        raise CorpusFormatError(f"{path}: expected {size} bytes{what}, found {found}")
 
 
 def verify_sa_file(

@@ -35,7 +35,3 @@ class SearchSpaceTooLargeError(ValueError):
 
 class CorpusFormatError(ValueError):
     """A corpus file or manifest is malformed."""
-
-    def __init__(self, message: str, offset: int | None = None):
-        super().__init__(message)
-        self.offset = offset

@@ -133,7 +133,7 @@ def _balanced2_cuts(w: str) -> Optional[dict[str, int]]:
     so only the root is checked.  The tree is walked with an explicit stack:
     a lower Christoffel word such as a b^1000 is a thousand levels deep.
     """
-    if len(w) != 1 and not is_lyndon(w):
+    if not is_lyndon(w):
         return None
     cuts: dict[str, int] = {}
     stack = [w]

@@ -13,10 +13,11 @@ is what makes one, two, or three characters necessary:
 
 Split positions are handled in two coordinate systems: "after the entry with
 value v" (value space) and "after index i of P" (index space).  Each closed
-form has one home here: :func:`required_splits` gives the forced split
-values, :func:`_split_boundaries` is the only conversion from value space to
-index space (:func:`_canonical_boundaries` and :func:`_ternary_boundaries`
-name its two uses), :func:`synth` sets the split index s and the period n - k,
+form has one home here: :func:`_split_values` writes the two split values,
+:func:`required_splits` keeps those that force a split,
+:func:`_split_boundaries` is the only conversion from value space to index
+space (:func:`_canonical_boundaries` and :func:`_ternary_boundaries` name
+its two uses), :func:`synth` sets the split index s and the period n - k,
 and :func:`_text_codes` is the only text builder: it reads each character's
 rank off the inverse suffix array (:func:`apsa.core.ap_array` of
 :func:`apsa.core.ap_inverse`) for one split (synthesis, the corpus) or a
@@ -102,20 +103,24 @@ def classify(perm: APPerm) -> tuple[SynthCase, int]:
     return SynthCase.TERNARY, 3
 
 
+def _split_values(perm: APPerm) -> set[int]:
+    """The paper's two split values, n - k and (p1 - k - 1) mod n, in [1..n]."""
+    n, k = perm.n, perm.k
+    return {canonical_residue(n - k, n), canonical_residue(perm.p1 - k - 1, n)}
+
+
 def required_splits(perm: APPerm) -> frozenset[int]:
     """Values of P after which every valid construction must split.
 
-    Returned in value space ("split after the entry with this value").  The
-    set has sigma_min - 1 elements.
+    Returned in value space ("split after the entry with this value").  For
+    adjacent entries a, b of P the suffix at b + 1 ranks one above the
+    suffix at a + 1, so T[a] <= T[b] suffices, except where b = n (a = n - k)
+    or a + 1 is the final entry of P (a = p1 - k - 1 mod n): there T[a] < T[b]
+    is forced.  Two of these values need no split: nothing follows the final
+    entry of P, and after value n the suffix at a + 1 is the empty one, which
+    ranks below every other.  The set has sigma_min - 1 elements.
     """
-    n, k, p1 = perm.n, perm.k, perm.p1
-    if perm.is_reversal:
-        return frozenset()
-    if p1 == n:
-        return frozenset({canonical_residue(p1 - k - 1, n)})
-    if p1 in (1, k + 1):
-        return frozenset({n - k})
-    return frozenset({canonical_residue(p1 - k - 1, n), n - k})
+    return frozenset(_split_values(perm) - {perm.n, perm.last})
 
 
 def _breaks_records(ch: str) -> bool:
@@ -175,11 +180,10 @@ def _canonical_boundaries(perm: APPerm) -> tuple[int, ...]:
 
 
 def _ternary_boundaries(perm: APPerm) -> tuple[int, ...]:
-    """Index-space boundaries of the three-way split after n - k and (p1 - k - 1) mod n."""
+    """Index-space boundaries of the three-way split after both split values."""
     if perm.is_reversal:
         raise UnsupportedCaseError("the reversal permutation is covered by the unary family")
-    n, k, p1 = perm.n, perm.k, perm.p1
-    return _split_boundaries(perm, {n - k, canonical_residue(p1 - k - 1, n)})
+    return _split_boundaries(perm, _split_values(perm))
 
 
 def _text_codes(

@@ -32,12 +32,7 @@ desk-scale reference oracles.
 Whether a text has a progressed suffix array needs no sort.  The
 progression P = (n, k, p1) is the suffix array of T exactly when
 T[a] <= T[a + k mod n] for every entry a of P but the last, strictly where a
-is a required split value, n - k or p1 - k - 1 mod n
-(:func:`apsa.synthesis.required_splits`).  Why: the general certificate is
-(T[a], rank(a + 1)) < (T[b], rank(b + 1)) for adjacent entries a, b, and as
-b + 1 = (a + 1) + k, rank(b + 1) = rank(a + 1) + 1, except where a + 1 is
-the last entry of P (rank n) or b = n (the empty suffix, rank 0), that is,
-where a is a required split value.  (At a = n the empty suffix is at a + 1.)
+is a required split value (:func:`apsa.synthesis.required_splits` says why).
 :func:`progression_holds` reads this in text order, so each 2^20-position
 chunk compares two contiguous slices.  :func:`progression_of` finds the
 only candidate from letter counts: the last suffix ranks
@@ -309,8 +304,6 @@ def progression_holds(codes: np.ndarray, perm: APPerm) -> bool:
     n, k = perm.n, perm.k
     if codes.shape[-1] != n:
         raise ValueError(f"text length {codes.shape[-1]} != progression length {n}")
-    if n == 1:
-        return True
     for v in required_splits(perm):
         if not (codes[..., v - 1] < codes[..., (v - 1 + k) % n]).all():
             return False
@@ -381,8 +374,6 @@ def _smallest_period(text: str, perm: APPerm) -> Optional[int]:
     the smallest border start (0-based).
     """
     top = ap_inverse(perm).p1  # the whole text's rank
-    if top == 1:
-        return None
     below = ap_array(perm, 0, top - 1)
     reach = _successor_lcp(_codes_of(text), perm)[below - 1]
     reach = np.minimum.accumulate(reach[::-1])[::-1]

@@ -146,6 +146,12 @@ def test_certificate_reads_every_row():
         progression_holds(_codes_of("babbaba"), perm)
 
 
+def test_certificate_holds_for_one_letter():
+    perm = APPerm(1, 1, 1)
+    assert progression_holds(_codes_of("a"), perm)
+    assert progression_holds(np.array([[ord("b")], [ord("a")], [0]]), perm)
+
+
 def no_sort(*args, **kwargs):
     raise AssertionError("suffix sort called")
 

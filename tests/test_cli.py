@@ -102,6 +102,8 @@ def test_enumerate(capsys):
         ["fib", "-m", "45"],  # f_45 ~ 1.1e9, printed twice
         ["fib", "-m", "100"],
         ["fib", "-m", "1000000000"],
+        ["synth", "-n", "2000000011", "-k", "3", "--p1", "5"],
+        ["synth", "-n", str(2**30 + 3), "-k", "3", "--p1", "5", "--sigma", "4", "--splits", "7"],
     ],
 )
 def test_oversized_records_exit_2_before_any_work(argv):
@@ -353,6 +355,15 @@ def test_christoffel_record_limit_is_inclusive(capsys, monkeypatch):
     monkeypatch.setattr(apsa.cli, "MAX_RECORD_CHARS", 12)
     assert run(capsys, "christoffel", "-p", "7", "-q", "5")[0] == 0  # 12 characters
     code, _, err = run(capsys, "christoffel", "-p", "7", "-q", "6")
+    assert code == 2 and "exceeds the limit" in err
+
+
+def test_synth_record_limit_is_inclusive(capsys, monkeypatch):
+    import apsa.cli
+
+    monkeypatch.setattr(apsa.cli, "MAX_RECORD_CHARS", 8)
+    assert run(capsys, "synth", "-n", "8", "-k", "5", "--p1", "5")[0] == 0  # 8 characters
+    code, _, err = run(capsys, "synth", "-n", "9", "-k", "2", "--p1", "5", "--sigma", "4")
     assert code == 2 and "exceeds the limit" in err
 
 

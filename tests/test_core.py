@@ -188,7 +188,7 @@ def test_ap_rotate_range_check():
 
 
 def test_ap_position_of():
-    for perm in (APPerm(8, 5, 5), APPerm(12, 5, 1), APPerm(7, 3, 2)):
+    for perm in (APPerm(8, 5, 5), APPerm(12, 5, 1), APPerm(7, 3, 2), APPerm(1, 1, 1)):
         p = ap_materialize(perm)
         for i, v in enumerate(p, start=1):
             assert ap_position_of(perm, v) == i

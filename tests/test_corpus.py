@@ -75,6 +75,15 @@ def test_thread_count_env(monkeypatch):
     assert thread_count() >= 1
 
 
+def test_thread_count_follows_the_affinity_mask(monkeypatch):
+    from apsa.corpus import thread_count
+
+    monkeypatch.delenv("APSA_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert thread_count() == 1
+
+
 def test_generation_thread_count_does_not_change_output(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     generate_corpus(a, [64, 128, 256], ["binary3", "ternary"], 3, threads=1)
@@ -513,6 +522,18 @@ def test_manifest_rejects_repeated_keys(tmp_path, line_no, key, extra):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CorpusFormatError, match=f"manifest.txt:{line_no}: key '{key}' repeated"):
         read_manifest(path)
+
+
+def test_manifest_rejects_unknown_entry_keys(tmp_path):
+    out = tmp_path / "c"
+    generate_corpus(out, [64], ["binary3", "ternary"], 3)
+    path = out / "manifest.txt"
+    lines = path.read_text().splitlines()
+    lines[2] += " lcp=ternary-n64.lcp"
+    path.write_text("\n".join(lines) + "\n")
+    for check in (read_manifest, verify_corpus):
+        with pytest.raises(CorpusFormatError, match="manifest.txt:3: unknown key 'lcp'"):
+            check(path)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
