@@ -133,7 +133,7 @@ def pick_parameters(n: int, case: str, seed) -> APPerm:
     rng = random.Random(f"{seed}|{n}|{case}")
     if case == "unary":
         return APPerm(n, n - 1 if n > 1 else 1, n)
-    exclude_top = case != "binary3"  # k = n-1 collapses those cases into the reversal
+    exclude_top = case in ("binary1", "binary2")  # with k = n-1 their p1 = n: the reversal
     if n <= 4096:
         ks = [
             k

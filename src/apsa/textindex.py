@@ -38,10 +38,9 @@ chunk compares two contiguous slices.  :func:`progression_of` finds the
 only candidate from letter counts: the last suffix ranks
 1 + #{j : T[j] < T[n]}, the one before it also counts the suffixes that
 start with T[n - 1] and continue below T[n], and the two ranks differ by
-k^{-1}.  Once P is known, the longest common prefix of the suffix at a with
-the next one in P, at a + k or a + k - n, is the run of T[i] == T[i + k] or
-T[i] == T[i + k - n] starting at a (:func:`_successor_lcp`); the smallest
-period is read off these runs (:func:`_smallest_period`).
+k^{-1}.  Once P is known, the smallest period is read off the closed-form
+LCPs of adjacent suffixes at the ranks below the text's, from P and the
+letter counts alone (:func:`_smallest_period`).
 """
 
 from __future__ import annotations
@@ -344,40 +343,30 @@ def progression_of(text: str) -> Optional[APPerm]:
     return perm if progression_holds(codes, perm) else None
 
 
-def _successor_lcp(codes: np.ndarray, perm: APPerm) -> np.ndarray:
-    """For each 0-based position a, the longest common prefix of suffix a and suffix a + k mod n.
-
-    When P is the suffix array of the text these are the LCPs of adjacent
-    suffixes, in text order; the entry at the final entry of P pairs it with
-    the first and means nothing.  Each is the run of equal characters from
-    a, compared k positions on (k - n once past the end), and stops at the
-    end of the text; one reversed minimum accumulation finds every run.
-    """
-    n, k = perm.n, perm.k
-    equal = np.empty(n, dtype=bool)
-    np.equal(codes[: n - k], codes[k:], out=equal[: n - k])
-    np.equal(codes[n - k :], codes[:k], out=equal[n - k :])
-    positions = np.arange(n, dtype=np.int64)
-    # Where each run ends: the first unequal position, or the end of its slice.
-    ends = np.full(n, n, dtype=np.int64)
-    ends[: n - k] = n - k
-    np.copyto(ends, positions, where=~equal)
-    return np.minimum.accumulate(ends[::-1])[::-1] - positions
-
-
 def _smallest_period(text: str, perm: APPerm) -> Optional[int]:
     """Smallest period of a text whose suffix array is P, or None when it is n.
 
     A border is a suffix ranked below the whole text whose longest common
     prefix with the text is its own length; that prefix is the minimum of the
     adjacent suffixes' LCPs from its rank up to the text's.  The period is
-    the smallest border start (0-based).
+    the smallest border start (0-based).  Suffixes P[j] and P[j + 1] stay one
+    rank apart as they advance, so they first differ at the end of the
+    shorter one or where P[j]'s side reaches the last position of a letter's
+    block, P[b] for b a letter boundary, whichever comes first.
     """
+    n, k = perm.n, perm.k
     top = ap_inverse(perm).p1  # the whole text's rank
     below = ap_array(perm, 0, top - 1)
-    reach = _successor_lcp(_codes_of(text), perm)[below - 1]
+    counts = np.bincount(_codes_of(text))
+    bounds = np.cumsum(counts[counts > 0])[:-1]  # index-space letter boundaries
+    ends = np.sort((perm.p1 - 1 + (bounds - 1) * k) % n + 1)
+    # The next block end at or after each P[j], cyclically; 2n stands for none.
+    ends = np.concatenate((ends, ends[:1] + n, [2 * n]))
+    own = n + 1 - below  # each suffix's length; P[top] = 1 is the whole text
+    reach = np.minimum(own, np.append(own[1:], n))
+    reach = np.minimum(reach, ends[np.searchsorted(ends, below)] - below)
     reach = np.minimum.accumulate(reach[::-1])[::-1]
-    borders = below[reach == perm.n + 1 - below]
+    borders = below[reach == own]
     return int(borders.min()) - 1 if borders.size else None
 
 

@@ -54,7 +54,7 @@ def near_miss(rnd, text):
 
 def test_census_matches_the_sort_and_kmp():
     progressed = 0
-    for letters, max_n in (("abc", 8), ("abcd", 6)):
+    for letters, max_n in (("abc", 8), ("abcd", 6), ("ab", 14)):
         for n in range(1, max_n + 1):
             for chars in product(letters, repeat=n):
                 text = "".join(chars)
@@ -74,6 +74,15 @@ def test_pinned_examples():
     perm = progression_of("acaba")
     assert perm == APPerm(5, 3, 5)
     assert _smallest_period("acaba", perm) == smallest_period_reference("acaba") == 4
+    # Letters above U+FFFF: the letter boundaries come from their counts.
+    text = synth(APPerm(1000, 7, 5)).text.translate({ord("b"): 0x1F600, ord("c"): 0x10FFFD})
+    perm = progression_of(text)
+    assert perm == APPerm(1000, 7, 5)
+    assert _smallest_period(text, perm) == smallest_period_reference(text) == 999
+    text = synth(APPerm(1000, 7, 1000)).text.translate({ord("a"): 0x1F600, ord("b"): 0x10FFFD})
+    perm = progression_of(text)
+    assert perm == APPerm(1000, 7, 1000)
+    assert _smallest_period(text, perm) == smallest_period_reference(text) == 993
     assert progression_of("banana") is None
     assert progression_of("x") == APPerm(1, 1, 1)
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,22 @@ def test_corpus_verify_missing_file(tmp_path, capsys):
     next(out_dir.glob("*.sa")).unlink()
     code, _, err = run(capsys, "corpus", "verify", str(out_dir / "manifest.txt"))
     assert code == 3
+
+
+def test_corpus_verify_reads_files_from_dir(tmp_path, capsys):
+    out_dir = tmp_path / "corpus"
+    run(capsys, "corpus", "gen", "--out", str(out_dir), "--sizes", "8,64",
+        "--cases", "ternary,binary3", "--seed", "2")
+    elsewhere = tmp_path / "manifests"
+    elsewhere.mkdir()
+    manifest = str(elsewhere / "manifest.txt")
+    shutil.copyfile(out_dir / "manifest.txt", manifest)
+    code, out, _ = run(capsys, "corpus", "verify", manifest, "--dir", str(out_dir))
+    assert code == 0 and out.endswith("result=pass\n")
+    # Without --dir the files are looked for beside the manifest.
+    code, out, err = run(capsys, "corpus", "verify", manifest)
+    assert (code, out) == (3, "")
+    assert "i/o error" in err and str(elsewhere / "ternary-n8.sa") in err
 
 
 def test_corpus_verify_refuses_int64_overflow_before_reading(tmp_path, capsys):

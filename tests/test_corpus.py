@@ -35,6 +35,15 @@ def test_pick_parameters_cases_and_determinism():
     assert pick_parameters(40, "ternary", "seed") != pick_parameters(40, "ternary", "other")
 
 
+def test_pick_parameters_draws_the_top_ternary_ratio():
+    # With k = n - 1 every p1 in [2, n - 1] is ternary; only binary1 and
+    # binary2 turn into the reversal there.
+    draws = [pick_parameters(7, "ternary", seed) for seed in range(200)]
+    top = [perm for perm in draws if perm.k == 6]
+    assert top
+    assert all(classify(perm)[0].value == "ternary" for perm in top)
+
+
 def test_pick_parameters_rejects_impossible():
     with pytest.raises(ValueError):
         pick_parameters(3, "ternary", 0)
