@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from itertools import groupby
 from math import comb
 from operator import attrgetter
@@ -189,6 +190,8 @@ def _cmd_corpus_verify(args) -> int:
     return 1 if failed else 0
 
 
+# Built on the first call and reused by every later main(); do not change it.
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="apsa",

@@ -18,7 +18,7 @@ that suffix array, and its BWT is that sorted string rotated left by n
 minus the inverse ratio.
 
 The suffix-array oracle is prefix doubling, O(n log n): pure Python for
-short texts, a numpy kernel from 2048 characters on.  The kernel sorts
+short texts, a numpy kernel from 64 characters on.  The kernel sorts
 rotations only, in O(n log n) time and O(n) memory; its first round ranks a
 packed key, the first c characters of each rotation with as many characters
 as an int64 holds, so doubling starts at step c instead of 1.  The matrix
@@ -84,7 +84,7 @@ __all__ = [
     "parse_compact_runs",
 ]
 
-_NUMPY_THRESHOLD = 2048
+_NUMPY_THRESHOLD = 64
 _CHUNK = 1 << 20
 
 

@@ -470,3 +470,70 @@ def test_readme_command_examples_match_output(capsys):
             assert out.startswith(comment[:-3]), (argv, out)
         else:
             assert out == comment + "\n", (argv, out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "-n", "5"],
+        ["nosuch"],
+        ["synth", "-n", "x", "-k", "3", "--p1", "1"],
+        ["corpus"],
+    ],
+    ids=["missing-option", "unknown-subcommand", "non-integer", "bare-corpus"],
+)
+def test_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: apsa")
+    # The parser that refused the call still serves the next one.
+    code, out, err = run(capsys, "synth", "-n", "8", "-k", "5", "--p1", "5")
+    assert (code, err) == (0, "")
+    assert fields(out.strip())["text"] == "babbabac"
+
+
+def test_main_runs_repeatedly_in_one_process(tmp_path, capsys, monkeypatch):
+    import argparse
+
+    corpus_dir = tmp_path / "corpus"
+    manifest = str(corpus_dir / "manifest.txt")
+    gen = ["corpus", "gen", "--out", str(corpus_dir), "--sizes", "50",
+           "--cases", "binary3,ternary", "--seed", "4", "--threads", "1"]
+    assert run(capsys, *gen)[0] == 0
+    entry = "binary3-n50"
+    zero = tmp_path / "zero-based.sa"
+    (np.fromfile(corpus_dir / f"{entry}.sa", dtype="<u8") - 1).astype("<u8").tofile(zero)
+    candidate = ["corpus", "verify", manifest, "--id", entry, "--sa", str(zero)]
+    commands = [
+        gen,
+        ["synth", "-n", "8", "-k", "5", "--p1", "5"],
+        ["classify", "abaababa"],
+        ["synth", "-n", "8", "-k", "5", "--p1", "5", "--sigma", "5", "--splits", "1,2"],
+        ["christoffel", "-p", "7", "-q", "5"],
+        [*candidate, "--zero-based"],
+        candidate,
+        ["fib", "-m", "7"],
+        ["enumerate", "-n", "8", "-k", "5", "--p1", "5", "--sigma", "4"],
+        ["corpus", "verify", manifest],
+    ]
+    first = [run(capsys, *argv) for argv in commands]
+    assert [run(capsys, *argv) for argv in commands] == first
+    assert first[5] == (0, f"id={entry} sa=pass\nresult=pass\n", "")
+    # The plain call right after the --zero-based one reads 1-based values.
+    assert first[6] == (1, f"id={entry} sa=fail sa_offset=1\nresult=fail\n", "")
+    assert first[9][0] == 0 and first[9][1].endswith("result=pass\n")
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in commands[1:4]:
+        run(capsys, *argv)
+    assert built == []

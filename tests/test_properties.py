@@ -2,8 +2,8 @@
 and every numpy oracle against its pure-Python or brute-force counterpart.
 
 Progressions go up to n = 3000, so both oracle paths (pure Python below
-2048, numpy above) are exercised.  Examples are derandomized so the suite
-stays deterministic.
+textindex._NUMPY_THRESHOLD, numpy from there on) are exercised.  Examples
+are derandomized so the suite stays deterministic.
 """
 
 import random

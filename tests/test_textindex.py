@@ -73,6 +73,27 @@ def test_suffix_array_numpy_path_agrees():
         assert got == want
 
 
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_suffix_array_agrees_on_both_sides_of_the_numpy_threshold(offset):
+    import random
+    from math import gcd
+
+    from apsa.textindex import _NUMPY_THRESHOLD
+
+    n = _NUMPY_THRESHOLD + offset
+    rnd = random.Random(n)
+    k = rnd.choice([k for k in range(1, n) if gcd(k, n) == 1])
+    texts = [
+        "".join(rnd.choices("abc", k=n)),
+        "".join(rnd.choices("\x00ab", k=n)),
+        "a" * n,
+        ("abaab" * n)[:n],
+        synth(APPerm(n, k, rnd.randint(1, n))).text,
+    ]
+    for text in texts:
+        assert suffix_array(text).sa == naive_sa(text), text
+
+
 @pytest.mark.parametrize(
     "base, width", [(2, 63), (3, 39), (4, 31), (3_037_000_499, 2), (3_037_000_500, 1)]
 )
@@ -296,7 +317,7 @@ def test_profile_equality_is_on_chars():
 
 @pytest.mark.parametrize("n", [2047, 2048, 2049])
 def test_bwt_from_sa_reads_the_sort_directly(monkeypatch, n):
-    # Both sides of the numpy threshold, without a SuffixArrayView in between.
+    # Texts around 2048 characters, without a SuffixArrayView in between.
     import random
 
     import apsa.textindex
