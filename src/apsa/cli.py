@@ -30,7 +30,7 @@ from .core import APPerm, _check_int64, ap_inverse
 from .enumeration import enumerate_strings
 from .errors import CorpusFormatError
 from .lyndonlab import _SWAP, balanced_via_slope, fibonacci_lengths, fibonacci_word
-from .synthesis import _require_alphabet, classify, synth, synth_general
+from .synthesis import _require_alphabet, classify, synth_general
 from .textindex import _smallest_period, bwt_runs, compact_runs, progression_of
 
 __all__ = ["main", "MAX_RECORD_CHARS"]
@@ -51,12 +51,9 @@ def _cmd_synth(args) -> int:
     _check_int64(perm)  # the overflow message comes before the size refusal
     _check_int64(ap_inverse(perm))
     _check_record_size(perm.n)
-    if args.sigma is None and not args.splits:
-        result = synth(perm)
-    else:
-        sigma = args.sigma if args.sigma is not None else classify(perm)[1]
-        values = [int(v) for v in args.splits.split(",")] if args.splits else []
-        result = synth_general(perm, sigma, values)
+    sigma = args.sigma if args.sigma is not None else classify(perm)[1]
+    values = [int(v) for v in args.splits.split(",")] if args.splits else []
+    result = synth_general(perm, sigma, values)
     parts = [f"text={result.text}", f"case={result.case.value}"]
     if result.s is not None:
         parts.append(f"s={result.s}")
@@ -106,9 +103,8 @@ def _cmd_christoffel(args) -> int:
             f"p1={perm.p1}",
             f"s={args.p}",
             f"bwt={compact_runs(christoffel_bwt(args.p, args.q).runs)}",
+            f"fact_index={factorization_index(args.p, args.q)}",
         ]
-        if len(word) >= 2:
-            parts.append(f"fact_index={factorization_index(args.p, args.q)}")
     print(" ".join(parts))
     return 0
 

@@ -200,11 +200,9 @@ def ap_inverse(perm: APPerm) -> APPerm:
     """Descriptor of the elementwise inverse permutation.
 
     The inverse progresses with the inverse ratio, and its first entry is
-    (1 - last) * k_inverse reduced into [1..n].
+    the index at which P holds the value 1.
     """
-    kinv = perm.k_inverse
-    p1 = canonical_residue((1 - perm.last) * kinv, perm.n)
-    return APPerm(perm.n, kinv, p1)
+    return APPerm(perm.n, perm.k_inverse, ap_position_of(perm, 1))
 
 
 def ap_rotate(perm: APPerm, m: int) -> APPerm:

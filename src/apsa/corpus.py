@@ -51,7 +51,7 @@ import numpy as np
 
 from .core import APPerm, _check_int64, ap_array, ap_inverse
 from .errors import CorpusFormatError
-from .synthesis import _canonical_boundaries, _text_codes, classify
+from .synthesis import SynthCase, _canonical_boundaries, _text_codes, classify
 from .textindex import bwt_runs, compact_runs, parse_compact_runs
 
 __all__ = [
@@ -74,7 +74,7 @@ FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.txt"
 _CHUNK_ENTRIES = 1 << 20
 
-CASES = ("unary", "binary1", "binary2", "binary3", "ternary")
+CASES = tuple(case.value for case in SynthCase)
 # The keys of a manifest entry line, as _manifest_line writes them.
 _ENTRY_KEYS = ("id", "n", "k", "p1", "case", "text", "sa", "bwt")
 

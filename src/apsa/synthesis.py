@@ -17,13 +17,13 @@ form has one home here: :func:`_split_values` writes the two split values,
 :func:`required_splits` keeps those that force a split,
 :func:`_split_boundaries` is the only conversion from value space to index
 space (:func:`_canonical_boundaries` and :func:`_ternary_boundaries` name
-its two uses), :func:`synth` sets the split index s and the period n - k,
-and :func:`_text_codes` is the only text builder: it reads each character's
-rank off the inverse suffix array (:func:`apsa.core.ap_array` of
-:func:`apsa.core.ap_inverse`) for one split (synthesis, the corpus) or a
-matrix of them (:mod:`apsa.enumeration`), and :func:`_text_of` decodes its
-codes.  :func:`binary_closed_form` re-derives the binary strings
-independently for cross-checking.
+its two uses), :func:`_result` sets the split index s and the period n - k
+whenever the split is the canonical one, and :func:`_text_codes` is the
+only text builder: it reads each character's rank off the inverse suffix
+array (:func:`apsa.core.ap_array` of :func:`apsa.core.ap_inverse`) for one
+split (synthesis, the corpus) or a matrix of them (:mod:`apsa.enumeration`),
+and :func:`_text_of` decodes its codes.  :func:`binary_closed_form`
+re-derives the binary strings independently for cross-checking.
 """
 
 from __future__ import annotations
@@ -209,12 +209,9 @@ def _text_codes(
         for b in bounds.T:
             codes += isa > b[..., None]
         return codes
-    if bounds.ndim == 1:
-        ranks = np.searchsorted(bounds, isa)
-    else:
-        row = np.arange(len(bounds))[:, None]
-        ranks = np.searchsorted((bounds + row * (perm.n + 1)).ravel(), isa + row * (perm.n + 1))
-        ranks -= row * m
+    row = np.arange(bounds.size // m).reshape(bounds.shape[:-1] + (1,))
+    ranks = np.searchsorted((bounds + row * (perm.n + 1)).ravel(), isa + row * (perm.n + 1))
+    ranks -= row * m
     alphabet = _rank_alphabet(m + 1).encode("utf-32-le")
     return np.frombuffer(alphabet, dtype=np.uint32)[ranks]
 
@@ -224,21 +221,23 @@ def _text_of(codes: np.ndarray) -> str:
     return codes.tobytes().decode("latin-1" if codes.itemsize == 1 else "utf-32-le")
 
 
-def _result(
-    perm: APPerm,
-    case: SynthCase,
-    boundaries: tuple[int, ...],
-    s: Optional[int] = None,
-    period: Optional[int] = None,
-) -> SynthResult:
-    """The text split at `boundaries` with consecutive ranks, plus its p_s.
+def _result(perm: APPerm, case: SynthCase, boundaries: tuple[int, ...]) -> SynthResult:
+    """The text split at `boundaries` with consecutive ranks, plus s, p_s and the period.
 
     p_s is the entry of P at the first boundary, or its final entry when
-    there is no boundary.
+    there is no boundary.  s and the period n - k hold for the canonical
+    split only: s when it has exactly one boundary (the binary cases), the
+    period for the reversal (n > 1) and the cases p1 = n and p1 = k+1.
+    Every caller splits at least at the required splits, so the split is
+    canonical when it has no more boundaries than those.
     """
     text = _text_of(_text_codes(perm, boundaries))
     b0 = boundaries[0] if boundaries else perm.n
     p_s = canonical_residue(perm.p1 + (b0 - 1) * perm.k, perm.n)
+    canonical = len(boundaries) == len(required_splits(perm))
+    s = b0 if canonical and len(boundaries) == 1 else None
+    periodic = canonical and perm.n > 1 and case in (SynthCase.UNARY, SynthCase.BINARY1, SynthCase.BINARY2)
+    period = perm.n - perm.k if periodic else None
     return SynthResult(text, case, SplitSpec(boundaries), s, p_s, period)
 
 
@@ -249,10 +248,7 @@ def synth_ternary(perm: APPerm) -> SynthResult:
     subarrays a, b, c in order.  For p1 in {1, n} one subarray vanishes and
     the output is binary; for the reversal the construction does not apply.
     """
-    boundaries = _ternary_boundaries(perm)
-    if len(boundaries) == 1:  # p1 in {1, n}: the canonical binary string
-        return synth(perm)
-    return _result(perm, classify(perm)[0], boundaries)
+    return _result(perm, classify(perm)[0], _ternary_boundaries(perm))
 
 
 def synth_binary(perm: APPerm) -> SynthResult:
@@ -320,11 +316,7 @@ def synth(perm: APPerm) -> SynthResult:
     Binary cases report s, their first boundary; the reversal (n > 1) and
     the cases p1 = n and p1 = k+1 have period n - k.
     """
-    case, sigma_min = classify(perm)
-    boundaries = _canonical_boundaries(perm)
-    s = boundaries[0] if sigma_min == 2 else None
-    periodic = perm.n > 1 and case in (SynthCase.UNARY, SynthCase.BINARY1, SynthCase.BINARY2)
-    return _result(perm, case, boundaries, s, perm.n - perm.k if periodic else None)
+    return _result(perm, classify(perm)[0], _canonical_boundaries(perm))
 
 
 def _require_alphabet(perm: APPerm, sigma: int) -> tuple[SynthCase, int]:
@@ -343,8 +335,8 @@ def synth_general(
     On top of the required splits, extra splits may be requested in value
     space ("after the entry with value v").  Free splits must be distinct
     from the required ones and must not fall after the final entry of P.
-    Subarrays take consecutive ranks starting at 1; with no free splits and
-    sigma equal to the case minimum this coincides with :func:`synth`.
+    Subarrays take consecutive ranks starting at 1; with no free splits the
+    result equals :func:`synth`, s and period included, whatever sigma is.
     """
     case, sigma_min = _require_alphabet(perm, sigma)
     required_values = required_splits(perm)

@@ -56,6 +56,15 @@ def test_synth_with_free_splits(capsys):
     assert fields(out.strip())["text"] == "cadcadbe"
 
 
+# One perm per case: ternary, binary2, binary1, binary3 and unary.
+@pytest.mark.parametrize("k, p1, sigma_min", [(5, 5, 3), (5, 6, 2), (5, 8, 2), (5, 1, 2), (7, 8, 1)])
+def test_synth_sigma_at_minimum_prints_the_plain_record(capsys, k, p1, sigma_min):
+    plain = ["synth", "-n", "8", "-k", str(k), "--p1", str(p1)]
+    expected = run(capsys, *plain)
+    assert expected[0] == 0
+    assert run(capsys, *plain, "--sigma", str(sigma_min)) == expected
+
+
 def test_classify(capsys):
     code, out, _ = run(capsys, "classify", "abaababa")
     rec = fields(out.strip())

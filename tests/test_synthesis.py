@@ -237,6 +237,23 @@ def test_synth_general_matches_dispatch_at_minimum():
             assert synth_general(perm, sigma).text == synth(perm).text
 
 
+def test_synth_general_without_free_splits_is_synth():
+    # The whole record, s and period included, for sigma at and above the minimum.
+    for n in range(1, 17):
+        for perm in iter_ap_perms(n):
+            sigma = classify(perm)[1]
+            assert synth_general(perm, sigma) == synth(perm)
+            assert synth_general(perm, sigma + 2, ()) == synth(perm)
+
+
+def test_synth_ternary_with_one_boundary_is_synth():
+    # For p1 in {1, n} the three-way split loses a subarray and is the canonical one.
+    for n in range(2, 17):
+        for perm in iter_ap_perms(n):
+            if not perm.is_reversal and perm.p1 in (1, n):
+                assert synth_ternary(perm) == synth(perm)
+
+
 def test_synth_general_errors():
     perm = APPerm(8, 5, 5)
     with pytest.raises(AlphabetTooSmallError):
