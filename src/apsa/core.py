@@ -130,13 +130,14 @@ def ap_array(perm: APPerm, start: int = 0, stop: Optional[int] = None) -> np.nda
     still unused block, and a minimum reduce the sum without a division.
     The last block or two, with less room after them than their own size,
     take a modulo.  A range of at most _BLOCK entries is the first block
-    alone.  The output, allocated by np.arange, is the only array.
+    alone.  The output comes from np.empty; only the first block comes from
+    an arange, and no other array has the output's length.
     """
     n, k = perm.n, perm.k
     _check_int64(perm)
-    out = np.arange(start, _check_range(perm, start, stop), dtype=np.int64)
+    out = np.empty(_check_range(perm, start, stop) - start, dtype=np.int64)
     head = out[:_BLOCK]
-    head *= k
+    np.multiply(np.arange(start, start + head.size, dtype=np.int64), k, out=head)
     head += perm.p1 - 1
     head %= n
     # uint64 views: sums reach 2n - 2, past int64 when n > 2**62

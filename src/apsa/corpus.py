@@ -19,14 +19,15 @@ Both closed forms give any slice of an entry without the rest, so generation
 and verification work in chunks of 2**20 positions on a pool of worker
 threads, and memory is O(threads x chunk) rather than O(n).  Generation maps
 the chunks of all entries on the pool at once; verification checks one file
-at a time, each file's chunks on the pool.  The process keeps one pool per
-worker count for later calls (a forked child starts afresh).  Threads: the
-`threads` argument, else the APSA_THREADS environment variable, else the CPUs
-in the process's affinity mask.  Within a chunk, the SA and the inverse
-suffix array behind the text come from :func:`apsa.core.ap_array`, which
-takes a modulo per entry only in its first block of 2**15 and its last one or
-two: every other block is the first plus one offset, less n where the sum
-reaches n.
+at a time, each file's chunks on the pool.  Generation removes an old
+manifest, overwrites each file in place at its final size and writes the new
+manifest last.  The process keeps one pool per worker count for later calls
+(a forked child starts afresh).  Threads: the `threads` argument, else the
+APSA_THREADS environment variable, else the CPUs in the process's affinity
+mask.  Within a chunk, the SA and the inverse suffix array behind the text
+come from :func:`apsa.core.ap_array`, which takes a modulo per entry only in
+its first block of 2**15 and its last one or two: every other block is the
+first plus one offset, less n where the sum reaches n.
 
 Verification compares each memory-mapped chunk of a candidate file with the
 same chunk of its closed form, the SA from :func:`apsa.core.ap_array` or the
@@ -39,6 +40,7 @@ fall outside the eight that generation writes.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -316,6 +318,9 @@ def generate_corpus(
 
     Every entry is written in chunks of _CHUNK_ENTRIES positions, all chunks
     of all entries on one thread pool, so memory stays O(threads x chunk).
+    Once every parameter is accepted the old manifest goes, each text and SA
+    file is sized to its final length and overwritten in place, and the new
+    manifest comes last: no manifest outlives files a failed call rewrote.
     """
     threads = thread_count(threads)  # a bad APSA_THREADS fails before any file exists
     sizes = list(dict.fromkeys(sizes))
@@ -339,9 +344,12 @@ def generate_corpus(
                 bwt_runs=predicted_bwt_runs(perm),
             )
         )
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, MANIFEST_NAME))
     for entry in entries:
-        for name in (entry.text_name, entry.sa_name):
-            open(os.path.join(out_dir, name), "wb").close()
+        for name, size in ((entry.text_name, entry.n), (entry.sa_name, 8 * entry.n)):
+            with open(os.path.join(out_dir, name), "ab") as fh:  # keeps the cached pages
+                fh.truncate(size)
     tasks = [(out_dir, e, a, b) for e in entries for a, b in _chunks(e.n)]
     _run(_write_chunk, tasks, threads)
     manifest = CorpusManifest(FORMAT_VERSION, entries)

@@ -311,6 +311,59 @@ def test_chunked_generation_is_byte_identical_at_small_blocks(tmp_path, monkeypa
         assert (reference / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("prior", ["same", "other_seed", "longer", "shorter"])
+@pytest.mark.parametrize("threads", [1, 4])
+def test_regeneration_over_an_existing_corpus_is_byte_identical(
+    tmp_path, monkeypatch, prior, threads
+):
+    import apsa.corpus as corpus
+
+    sizes, cases = [7, 8, 20, 64, 101], list(CASES)
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    generate_corpus(fresh, sizes, cases, 5, threads=1)
+    monkeypatch.setattr(corpus, "_CHUNK_ENTRIES", 7)
+    old = generate_corpus(out, sizes, cases, 6 if prior == "other_seed" else 5, threads=threads)
+    if prior == "other_seed":  # same names and sizes, other ratios and first entries
+        new = read_manifest(fresh / "manifest.txt").entries
+        assert [e.text_name for e in old.entries] == [e.text_name for e in new]
+        assert any((e.k, e.p1) != (f.k, f.p1) for e, f in zip(old.entries, new))
+    for i, path in enumerate(sorted(out.glob("*-n*"))):
+        data = path.read_bytes()
+        if prior == "longer":
+            path.write_bytes(data + b"\xff\x01junk" * (i % 3 + 1))
+        elif prior == "shorter":
+            path.write_bytes(data[: len(data) // 2 if i % 2 else 0])
+    generate_corpus(out, sizes, cases, 5, threads=threads)
+    names = sorted(p.name for p in fresh.iterdir())
+    assert names == sorted(p.name for p in out.iterdir())
+    for name in names:
+        assert (fresh / name).read_bytes() == (out / name).read_bytes(), name
+    results = verify_corpus(out / "manifest.txt", threads=threads)
+    assert len(results) == len(sizes) * len(cases) and all(r.ok for r in results)
+
+
+def test_failed_regeneration_leaves_no_manifest(tmp_path, monkeypatch):
+    import apsa.corpus as corpus
+
+    out = tmp_path / "c"
+    generate_corpus(out, [64], ["binary3", "ternary"], 5, threads=1)
+    monkeypatch.setattr(corpus, "_CHUNK_ENTRIES", 7)
+    real = corpus._write_chunk
+
+    def write_chunk(out_dir, entry, start, stop):
+        if entry.case == "ternary" and start >= 28:
+            raise OSError("no space left on device")
+        real(out_dir, entry, start, stop)
+
+    monkeypatch.setattr(corpus, "_write_chunk", write_chunk)
+    with pytest.raises(OSError, match="no space left"):
+        generate_corpus(out, [64], ["binary3", "ternary"], 6, threads=2)
+    assert not (out / "manifest.txt").exists()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "binary3-n64.sa", "binary3-n64.txt", "ternary-n64.sa", "ternary-n64.txt"
+    ]
+
+
 @pytest.mark.parametrize(
     "corrupt, reported",
     [
