@@ -20,25 +20,20 @@ from operator import attrgetter
 from typing import Optional, Sequence
 
 from . import corpus as corpus_mod
-from .christoffel import (
-    christoffel_bwt,
-    christoffel_sa_params,
-    christoffel_word,
-    factorization_index,
-)
+from .christoffel import christoffel_sa_params, christoffel_word, factorization_index
 from .core import APPerm, _check_int64, ap_inverse
 from .enumeration import enumerate_strings
 from .errors import CorpusFormatError
 from .lyndonlab import _SWAP, balanced_via_slope, fibonacci_lengths, fibonacci_word
-from .synthesis import _require_alphabet, classify, synth_general
+from .synthesis import _canonical_boundaries, _require_alphabet, classify, synth_general
 from .textindex import _smallest_period, bwt_runs, compact_runs, progression_of
 
 __all__ = ["main", "MAX_RECORD_CHARS"]
 
 # Largest record `christoffel`, `enumerate`, `fib` or `synth` prints.
-# `christoffel` and `synth` hold the whole record in memory before they print
-# and `fib` the word and its swapped copy, so a larger request would exhaust
-# memory instead.
+# `christoffel` and `synth` hold their word or text in memory, though not a
+# second copy joined into the record, and `fib` the word and its swapped copy,
+# so a larger request would exhaust memory instead.
 MAX_RECORD_CHARS = 1 << 30
 
 
@@ -54,14 +49,16 @@ def _cmd_synth(args) -> int:
     sigma = args.sigma if args.sigma is not None else classify(perm)[1]
     values = [int(v) for v in args.splits.split(",")] if args.splits else []
     result = synth_general(perm, sigma, values)
-    parts = [f"text={result.text}", f"case={result.case.value}"]
+    parts = [f"case={result.case.value}"]
     if result.s is not None:
         parts.append(f"s={result.s}")
     parts.append(f"p_s={result.p_s}")
     if result.predicted_period is not None:
         parts.append(f"period={result.predicted_period}")
     parts.append(f"bwt={compact_runs(bwt_runs(perm, result.split.boundaries))}")
-    print(" ".join(parts))
+    # Written field by field, so the text is never copied into a joined record.
+    print("text=", result.text, sep="", end=" ")
+    print(*parts)
     return 0
 
 
@@ -95,17 +92,18 @@ def _cmd_classify(args) -> int:
 def _cmd_christoffel(args) -> int:
     _check_record_size(args.p + args.q)
     word = christoffel_word(args.p, args.q)
-    parts = [f"word={word}", f"n={len(word)}"]
+    parts = [f"n={len(word)}"]
     if args.p >= 1 and args.q >= 1:
         perm = christoffel_sa_params(args.p, args.q)
         parts += [
             f"k={perm.k}",
             f"p1={perm.p1}",
             f"s={args.p}",
-            f"bwt={compact_runs(christoffel_bwt(args.p, args.q).runs)}",
+            f"bwt={compact_runs(bwt_runs(perm, _canonical_boundaries(perm)))}",
             f"fact_index={factorization_index(args.p, args.q)}",
         ]
-    print(" ".join(parts))
+    print("word=", word, sep="", end=" ")
+    print(*parts)
     return 0
 
 

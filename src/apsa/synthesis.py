@@ -22,12 +22,17 @@ whenever the split is the canonical one, and :func:`_text_codes` is the
 only text builder: it reads each character's rank off the inverse suffix
 array (:func:`apsa.core.ap_array` of :func:`apsa.core.ap_inverse`) for one
 split (synthesis, the corpus) or a matrix of them (:mod:`apsa.enumeration`),
-and :func:`_text_of` decodes its codes.  :func:`binary_closed_form`
+and :func:`_text_of` decodes its codes.  The ISA steps by one every k
+positions, so a text repeats with period k and with period n - k except at
+the at most sigma positions where a rank crosses a boundary; a long
+single-split range is one period of the ISA route, tiled, plus a strided
+correction per crossing.  :func:`binary_closed_form`
 re-derives the binary strings independently for cross-checking.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations_with_replacement, filterfalse, islice
@@ -59,6 +64,9 @@ __all__ = [
 ]
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+# Single-row ranges up to this length read the ISA throughout (measured crossover).
+_TILE_MIN = 1 << 13
 
 
 class SynthCase(Enum):
@@ -163,6 +171,9 @@ def render_ranks(ranks: Iterable[int]) -> str:
     orders its suffixes exactly as the rank sequence does.
     """
     ranks = list(ranks)
+    low = min(ranks, default=1)
+    if low < 1:
+        raise ValueError(f"rank {low} is below 1")
     alphabet = _rank_alphabet(max(ranks, default=0))
     return "".join([alphabet[r - 1] for r in ranks])
 
@@ -199,10 +210,43 @@ def _text_codes(
     shifted by r (n + 1), so all rows form one sorted array, less the r m
     boundaries before it) and reads its code off :func:`_rank_alphabet`.
     stop defaults to n; a range not inside [0, n] raises ValueError.
+
+    A single row of at most 26 ranks is built from one period when its range
+    is longer than both q = min(k, n - k) and _TILE_MIN.  P steps by k, so
+    isa[i + k] = isa[i] + 1 and isa[i + n - k] = isa[i] - 1, cyclically in
+    [1..n]: the code at i + q equals the code at i unless the rank j =
+    isa[i] and its neighbour j + 1 (q = k) or j - 1 (q = n - k) fall on
+    different sides of a boundary.  The first q codes come from the ISA,
+    which also runs ap_array's int64 guard before the range is allocated;
+    doubling slice copies repeat them over the range; then each of the at
+    most m + 1 ranks j whose rank differs from its neighbour's adds that
+    difference to every q-th code after x = P[j] - 1.  Matrices, rows of
+    more than 26 ranks (their uint32 code points are not contiguous) and
+    ranges no longer than q or _TILE_MIN read the ISA at every position.
     """
     stop = _check_range(perm, start, stop)
     bounds = np.asarray(boundaries, dtype=np.int64)
     m = bounds.shape[-1]
+    n, k = perm.n, perm.k
+    q = min(k, n - k)
+    if bounds.ndim == 1 and 0 < m < 26 and 0 < q < stop - start and stop - start > _TILE_MIN:
+        base = _text_codes(perm, bounds, start, start + q)  # int64 guard before allocating
+        codes = np.empty(stop - start, dtype=np.uint8)
+        codes[:q] = base
+        filled = q
+        while filled < codes.size:
+            step = min(filled, codes.size - filled)
+            codes[filled : filled + step] = codes[:step]
+            filled += step
+        cuts = sorted(bounds.tolist())
+        side = 1 if q == k else -1  # isa[i + q] = isa[i] + side, cyclically
+        for j in {1, n, *cuts, *(b + 1 for b in cuts)} - {0, n + 1}:
+            # the rank rule at the neighbour j + side (cyclically), less that at j
+            delta = bisect_left(cuts, (j + side - 1) % n + 1) - bisect_left(cuts, j)
+            x = (perm.p1 - 1 + (j - 1) * k) % n  # isa[x] = j
+            if delta and start <= x < stop - q:
+                codes[x - start + q :: q] += np.uint8(delta % 256)
+        return codes
     isa = ap_array(ap_inverse(perm), start, stop) if m else None
     if m < 26:
         codes = np.full(bounds.shape[:-1] + (stop - start,), ord("a"), dtype=np.uint8)
@@ -210,15 +254,18 @@ def _text_codes(
             codes += isa > b[..., None]
         return codes
     row = np.arange(bounds.size // m).reshape(bounds.shape[:-1] + (1,))
-    ranks = np.searchsorted((bounds + row * (perm.n + 1)).ravel(), isa + row * (perm.n + 1))
+    ranks = np.searchsorted((bounds + row * (n + 1)).ravel(), isa + row * (n + 1))
     ranks -= row * m
     alphabet = _rank_alphabet(m + 1).encode("utf-32-le")
     return np.frombuffer(alphabet, dtype=np.uint32)[ranks]
 
 
 def _text_of(codes: np.ndarray) -> str:
-    """The text of character codes: one byte each (latin-1) or four (UTF-32)."""
-    return codes.tobytes().decode("latin-1" if codes.itemsize == 1 else "utf-32-le")
+    """The text of C-contiguous character codes: one byte each (latin-1) or four (UTF-32).
+
+    The codes' own buffer is decoded, with no intermediate bytes copy.
+    """
+    return str(memoryview(codes), "latin-1" if codes.itemsize == 1 else "utf-32-le")
 
 
 def _result(perm: APPerm, case: SynthCase, boundaries: tuple[int, ...]) -> SynthResult:

@@ -253,3 +253,21 @@ def test_text_code_ranges_are_slices(case, data):
     whole = _text_codes(perm, boundaries)
     assert np.array_equal(_text_codes(perm, boundaries, start, stop), whole[start:stop])
     assert np.array_equal(_text_codes(perm, boundaries, start), whole[start:])
+
+
+@bounded
+@given(perms_with_free_splits(), st.data())
+def test_tiled_text_codes_match_the_isa_route(case, data):
+    """Single rows built from one period, on both sides of n/2, against the matrix route."""
+    import apsa.synthesis as synthesis
+
+    perm, _, free = case
+    boundaries = _split_boundaries(perm, required_splits(perm).union(free))
+    n, q = perm.n, min(perm.k, perm.n - perm.k)
+    length = data.draw(st.sampled_from([q - 1, q, q + 1, 2 * q + 3, n]).filter(lambda size: 0 <= size <= n))
+    start = data.draw(st.integers(0, n - length))
+    whole = _text_codes(perm, [boundaries])[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthesis, "_TILE_MIN", 0)
+        got = _text_codes(perm, boundaries, start, start + length)
+    assert got.tobytes() == whole[start : start + length].tobytes()

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import numpy as np
@@ -10,12 +11,16 @@ from apsa.errors import (
     UnsupportedCaseError,
     WrongCaseError,
 )
+import apsa.synthesis as synthesis
 from apsa.synthesis import (
     SynthCase,
+    _canonical_boundaries,
     _rank_alphabet,
+    _ternary_boundaries,
     _text_codes,
     binary_closed_form,
     classify,
+    render_ranks,
     required_splits,
     synth,
     synth_binary,
@@ -285,7 +290,11 @@ def test_rank_alphabet_keeps_records_parseable():
     alphabet.encode("utf-8")  # no surrogates
 
 
-@pytest.mark.parametrize("perm", [APPerm(8, 5, 5), APPerm(9, 8, 9), APPerm(40, 3, 5)])
+# n = 20011 rows are built from one period, on the k side and the n - k side.
+@pytest.mark.parametrize(
+    "perm",
+    [APPerm(8, 5, 5), APPerm(9, 8, 9), APPerm(40, 3, 5), APPerm(20011, 9, 5), APPerm(20011, 20002, 17)],
+)
 @pytest.mark.parametrize("m", [0, 1, 3, 25, 26, 27, 45])
 def test_text_codes_matrix_rows_are_separate_texts(perm, m):
     rng = np.random.default_rng(m)
@@ -298,3 +307,61 @@ def test_text_codes_matrix_rows_are_separate_texts(perm, m):
     for row, got in zip(rows, codes):
         assert np.array_equal(got, _text_codes(perm, tuple(row.tolist())))
     assert np.array_equal(_text_codes(perm, rows, 2, perm.n - 1), codes[:, 2 : perm.n - 1])
+
+
+def _census_rows(perm, rng):
+    """Canonical and ternary boundaries, plus a refinement with repeats, 0 and n."""
+    rows = {_canonical_boundaries(perm)}
+    if not perm.is_reversal:
+        rows.add(_ternary_boundaries(perm))
+    extra = rng.choices([0, perm.n, *range(perm.n + 1)], k=rng.randint(1, 5))
+    rows.add(tuple(sorted(_canonical_boundaries(perm) + tuple(extra))))
+    return sorted(row for row in rows if row)
+
+
+def test_tiled_text_codes_census(monkeypatch):
+    """Single rows built from one period equal the one-row-matrix ISA route.
+
+    Every (n, k, p1) with n <= 40.  Up to n = 10 every range (start, stop);
+    above that the whole text and ranges of length q - 1, q, q + 1 and
+    2q + 1 at random starts, q = min(k, n - k).
+    """
+    monkeypatch.setattr(synthesis, "_TILE_MIN", 0)
+    rng = random.Random(20)
+    for n in range(1, 41):
+        for perm in iter_ap_perms(n):
+            q = min(perm.k, n - perm.k)
+            if n <= 10:
+                ranges = [(a, b) for a in range(n + 1) for b in range(a, n + 1)]
+            else:
+                ranges = [(0, n)]
+                for length in (q - 1, q, q + 1, 2 * q + 1):
+                    a = rng.randint(0, n - length)
+                    ranges.append((a, a + length))
+            for row in _census_rows(perm, rng):
+                whole = _text_codes(perm, [row])[0]
+                for a, b in ranges:
+                    got = _text_codes(perm, row, a, b)
+                    assert got.tobytes() == whole[a:b].tobytes(), (perm, row, a, b)
+
+
+def test_synth_reads_one_period_of_the_isa(monkeypatch):
+    perm = APPerm(10**5 + 3, 7, 5)
+    real, read = synthesis.ap_array, []
+
+    def spy(p, start=0, stop=None):
+        out = real(p, start, stop)
+        read.append(out.size)
+        return out
+
+    monkeypatch.setattr(synthesis, "ap_array", spy)
+    text = synth(perm).text
+    assert sum(read) <= 7
+    monkeypatch.undo()
+    assert text == synthesis._text_of(_text_codes(perm, [_canonical_boundaries(perm)])[0])
+
+
+@pytest.mark.parametrize("ranks, bad", [([2, 0, 1], 0), ([3, -1], -1)])
+def test_render_ranks_refuses_ranks_below_one(ranks, bad):
+    with pytest.raises(ValueError, match=f"rank {bad} "):
+        render_ranks(ranks)
