@@ -25,7 +25,9 @@ from .core import APPerm, _check_int64, ap_inverse
 from .enumeration import enumerate_strings
 from .errors import CorpusFormatError
 from .lyndonlab import _SWAP, balanced_via_slope, fibonacci_lengths, fibonacci_word
-from .synthesis import _canonical_boundaries, _require_alphabet, classify, synth_general
+from .synthesis import (
+    _canonical_boundaries, _rank_alphabet, _require_alphabet, classify, synth_general
+)
 from .textindex import _smallest_period, bwt_runs, compact_runs, progression_of
 
 __all__ = ["main", "MAX_RECORD_CHARS"]
@@ -139,6 +141,7 @@ def _cmd_enumerate(args) -> int:
     free = args.sigma - _require_alphabet(perm, args.sigma)[1]
     count = comb(perm.n + free, free)
     _check_record_size(count * perm.n)
+    _rank_alphabet(args.sigma)  # refuses more ranks than the table has before any output
     sys.stdout.write(f"count={count} strings=[")
     yielded = 0
     for yielded, text in enumerate(enumerate_strings(perm, args.sigma), 1):

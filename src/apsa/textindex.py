@@ -40,7 +40,10 @@ only candidate from letter counts: the last suffix ranks
 start with T[n - 1] and continue below T[n], and the two ranks differ by
 k^{-1}.  Once P is known, the smallest period is read off the closed-form
 LCPs of adjacent suffixes at the ranks below the text's, from P and the
-letter counts alone (:func:`_smallest_period`).
+letter counts alone (:func:`_smallest_period`).  :func:`bwt_from_sa`
+certifies first and sorts only a text that is not progressed;
+:func:`suffix_array` always sorts, as the reference the certificate is
+tested against.
 """
 
 from __future__ import annotations
@@ -280,7 +283,10 @@ def _suffix_order(text: str) -> list[int] | np.ndarray:
 
 
 def suffix_array(text: str) -> SuffixArrayView:
-    """Suffix array of `text` under strict lexicographic order, 1-based."""
+    """Suffix array of `text` under strict lexicographic order, 1-based.
+
+    Always sorts, progressed or not: tests hold the certificate against it.
+    """
     if not text:
         raise ValueError("empty text has no suffix array")
     order = _suffix_order(text)
@@ -384,14 +390,19 @@ def inverse_sa(sa: Sequence[int]) -> list[int]:
 def bwt_from_sa(text: str, sa: Optional[Sequence[int]] = None) -> BwtProfile:
     """BWT from the suffix array: the character cyclically preceding each suffix.
 
-    `sa` may be any integer sequence or array holding each of 1..n once, and
-    defaults to the sort's order; one gather picks the characters.
+    `sa` may be any integer sequence or array holding each of 1..n once; it
+    must pass Burkhardt and Kärkkäinen's O(n) suffix-array check.  Without
+    it, a text whose suffix array is a progression reads it off
+    :func:`progression_of` in O(n), and only other texts are sorted.  One
+    gather picks the characters.
     """
     n = len(text)
     if n == 0:
         raise ValueError("empty text has no BWT")
+    codes = _codes_of(text)
     if sa is None:
-        starts = np.asarray(_suffix_order(text))
+        perm = progression_of(text)
+        starts = np.asarray(_suffix_order(text)) if perm is None else ap_array(perm) - 1
     else:
         if len(sa) != n:
             raise ValueError(f"suffix array length {len(sa)} != text length {n}")
@@ -399,8 +410,16 @@ def bwt_from_sa(text: str, sa: Optional[Sequence[int]] = None) -> BwtProfile:
         if not (starts.min() >= 1 and starts.max() <= n and np.bincount(starts).max() == 1):
             raise ValueError("suffix array is not a permutation of [1..n]")
         starts -= 1
+        # Adjacent a, b need T[a] < T[b], or T[a] = T[b] and the suffix at
+        # a + 1 ranked below the one at b + 1; the empty suffix ranks -1.
+        rank = np.full(n + 1, -1, dtype=np.int64)
+        rank[starts] = np.arange(n)
+        a, b = starts[:-1], starts[1:]
+        ordered = (codes[a] < codes[b]) | ((codes[a] == codes[b]) & (rank[a + 1] < rank[b + 1]))
+        if not ordered.all():
+            raise ValueError("given array is not the suffix array of the text")
     # Index -1 wraps to the last character, which precedes the whole text.
-    return BwtProfile(_text_of(_codes_of(text)[starts - 1]), "sa-based")
+    return BwtProfile(_text_of(codes[starts - 1]), "sa-based")
 
 
 def bwt_from_matrix(text: str) -> BwtProfile:

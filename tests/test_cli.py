@@ -455,6 +455,17 @@ def test_enumerate_small_alphabet_prints_nothing(capsys):
     assert "below the required minimum 3" in err
 
 
+def test_enumerate_beyond_the_rank_table_prints_nothing():
+    # 1.5 million one-character strings fit the record limit but not the rank
+    # table.  Scanning the table takes some 80 MiB, so a child process pays it.
+    from helpers import run_capped
+
+    argv = ["enumerate", "-n", "1", "-k", "1", "--p1", "1", "--sigma", "1500000"]
+    proc = run_capped(f"import sys\nfrom apsa.cli import main\nsys.exit(main({argv!r}))\n")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "1500000 ranks exceed the 1110054 characters available" in proc.stderr
+
+
 def readme_commands():
     """Each commented `apsa` line of README's Command line block, as (argv, comment)."""
     import shlex

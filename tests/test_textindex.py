@@ -161,6 +161,30 @@ def test_bwt_from_sa_rejects_a_non_permutation(sa):
             bwt_from_sa("abc", given)
 
 
+def test_bwt_from_sa_rejects_a_permutation_that_is_not_the_suffix_array():
+    # The reversed order is a permutation; the BWT of abab is bbaa, not abab.
+    for given in ([4, 3, 2, 1], np.array([4, 3, 2, 1])):
+        with pytest.raises(ValueError, match="not the suffix array"):
+            bwt_from_sa("abab", given)
+
+
+def test_bwt_from_sa_accepts_exactly_the_suffix_array():
+    # Every permutation of every short text: only the true suffix array passes.
+    from itertools import permutations
+
+    for alphabet, top in (("ab", 5), ("abc", 4)):
+        for n in range(1, top + 1):
+            for chars in product(alphabet, repeat=n):
+                text = "".join(chars)
+                truth = naive_sa(text)
+                for sa in permutations(range(1, n + 1)):
+                    if sa == truth:
+                        assert bwt_from_sa(text, sa).chars == "".join(text[i - 2] for i in sa)
+                    else:
+                        with pytest.raises(ValueError, match="not the suffix array"):
+                            bwt_from_sa(text, sa)
+
+
 @pytest.mark.parametrize(
     "text, chars",
     [
@@ -336,3 +360,69 @@ def test_bwt_from_sa_reads_the_sort_directly(monkeypatch, n):
     for text in texts:
         want = "".join(text[i - 2] for i in naive_sa(text))
         assert bwt_from_sa(text).chars == want
+
+
+def test_bwt_from_sa_census_matches_the_sorted_suffix_array():
+    # Progressed or not, every short text over abc and abcd gets the BWT its
+    # sorted suffix array gives.
+    for alphabet, top in (("abc", 8), ("abcd", 6)):
+        for n in range(1, top + 1):
+            for chars in product(alphabet, repeat=n):
+                text = "".join(chars)
+                want = "".join(text[p - 2] for p in suffix_array(text).sa)
+                assert bwt_from_sa(text).chars == want
+
+
+def test_bwt_from_sa_reads_progressed_texts_off_the_certificate(monkeypatch):
+    import apsa.textindex
+    from apsa.christoffel import christoffel_bwt, christoffel_word
+    from apsa.lyndonlab import fibonacci_lengths, fibonacci_swapped, fibonacci_word
+    from apsa.synthesis import synth_general
+    from apsa.textindex import bwt_runs
+
+    perm = APPerm(100_003, 7, 5)
+    f = fibonacci_lengths(21)
+    general_perm = APPerm(997, 7, 5)
+    allowed = sorted(set(range(1, 998)) - {general_perm.last})[:40]
+    general = synth_general(general_perm, classify(general_perm)[1] + 40, allowed)
+    assert len(set(general.text)) == 43
+    cases = [
+        (synth(perm).text, bwt_predict(perm).chars),
+        (christoffel_word(1000, 777), christoffel_bwt(1000, 777).chars),
+        (fibonacci_word(20).word, bwt_predict(APPerm(f[19], f[17], f[19])).chars),
+        (fibonacci_swapped(21), bwt_predict(APPerm(f[20], f[18], f[20])).chars),
+        (general.text, expand_runs(bwt_runs(general_perm, general.split.boundaries))),
+    ]
+
+    def refuse(codes):
+        raise AssertionError("suffix sort called")
+
+    monkeypatch.setattr(apsa.textindex, "_doubling_numpy", refuse)
+    monkeypatch.setattr(apsa.textindex, "_doubling_small", refuse)
+    for text, want in cases:
+        assert bwt_from_sa(text).chars == want
+
+
+def test_bwt_from_sa_sorts_texts_that_are_not_progressed(monkeypatch):
+    import random
+
+    import apsa.textindex
+
+    perm = APPerm(3001, 7, 5)
+    progressed = synth(perm).text
+    n, k = perm.n, perm.k
+    texts = [
+        "".join(random.Random(3000).choices("abcd", k=3000)),
+        # No rise after the split value n - k: position n repeats position n - k.
+        progressed[: n - 1] + progressed[n - k - 1],
+    ]
+    sort = apsa.textindex._doubling_numpy
+    calls = []
+    monkeypatch.setattr(
+        apsa.textindex, "_doubling_numpy", lambda codes: calls.append(codes.size) or sort(codes)
+    )
+    for text in texts:
+        assert apsa.textindex.progression_of(text) is None
+        want = "".join(text[p - 2] for p in naive_sa(text))
+        assert bwt_from_sa(text).chars == want
+    assert calls == [3001, 3002]  # one sort each, the sentinel included
