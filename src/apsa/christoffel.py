@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .core import APPerm, canonical_residue, mod_inverse
+from .core import APPerm, _entry, canonical_residue, mod_inverse
 from .errors import DegenerateSlopeError, NotCoprimeError
 from .synthesis import synth_binary
 from .textindex import BwtProfile, _codes_of, _doubling_numpy, bwt_predict
@@ -109,11 +109,8 @@ def factorization_index(p: int, q: int) -> int:
     answer is suffix-array entry (s + 2) reduced into [1..n].  For n = 2 the
     only split is after the first character.
     """
-    params = _positive_slope(p, q)
-    n = params.n
-    k = mod_inverse(q, n)
-    idx = canonical_residue(p + 2, n)
-    return canonical_residue(1 + (idx - 1) * k, n)
+    perm = christoffel_sa_params(p, q)
+    return _entry(perm, canonical_residue(p + 2, perm.n))
 
 
 def closest_path_point(p: int, q: int) -> int:

@@ -25,9 +25,7 @@ from .core import APPerm, _check_int64, ap_inverse
 from .enumeration import enumerate_strings
 from .errors import CorpusFormatError
 from .lyndonlab import _SWAP, balanced_via_slope, fibonacci_lengths, fibonacci_word
-from .synthesis import (
-    _canonical_boundaries, _rank_alphabet, _require_alphabet, classify, synth_general
-)
+from .synthesis import _rank_alphabet, _require_alphabet, classify, synth_general
 from .textindex import _smallest_period, bwt_runs, compact_runs, progression_of
 
 __all__ = ["main", "MAX_RECORD_CHARS"]
@@ -101,7 +99,7 @@ def _cmd_christoffel(args) -> int:
             f"k={perm.k}",
             f"p1={perm.p1}",
             f"s={args.p}",
-            f"bwt={compact_runs(bwt_runs(perm, _canonical_boundaries(perm)))}",
+            f"bwt={compact_runs(corpus_mod.predicted_bwt_runs(perm))}",
             f"fact_index={factorization_index(args.p, args.q)}",
         ]
     print("word=", word, sep="", end=" ")

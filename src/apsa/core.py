@@ -87,7 +87,7 @@ class APPerm:
     @property
     def last(self) -> int:
         """The final entry, one ratio step before the first."""
-        return canonical_residue(self.p1 - self.k, self.n)
+        return _entry(self, self.n)
 
     @property
     def is_reversal(self) -> bool:
@@ -210,7 +210,7 @@ def ap_rotate(perm: APPerm, m: int) -> APPerm:
     """Descriptor of the m-th left rotation of the materialized permutation."""
     if not 0 <= m < perm.n:
         raise ValueError(f"rotation amount {m} outside [0..{perm.n - 1}]")
-    return APPerm(perm.n, perm.k, canonical_residue(perm.p1 + m * perm.k, perm.n))
+    return APPerm(perm.n, perm.k, _entry(perm, m + 1))
 
 
 def ap_position_of(perm: APPerm, value: int) -> int:
@@ -218,3 +218,8 @@ def ap_position_of(perm: APPerm, value: int) -> int:
     if not 1 <= value <= perm.n:
         raise ValueError(f"value {value} outside [1..{perm.n}]")
     return canonical_residue((value - perm.p1) * perm.k_inverse + 1, perm.n)
+
+
+def _entry(perm: APPerm, i):
+    """Entry i (1-based) of P, (p1 - 1 + (i - 1)*k) mod n + 1, for an int or an int64 array."""
+    return (perm.p1 - 1 + (i - 1) * perm.k) % perm.n + 1

@@ -77,6 +77,8 @@ MANIFEST_NAME = "manifest.txt"
 _CHUNK_ENTRIES = 1 << 20
 
 CASES = tuple(case.value for case in SynthCase)
+# The shortest length at which each case has a progression.
+_MIN_LENGTH = {"unary": 1, "binary1": 3, "binary2": 3, "binary3": 2, "ternary": 4}
 # The keys of a manifest entry line, as _manifest_line writes them.
 _ENTRY_KEYS = ("id", "n", "k", "p1", "case", "text", "sa", "bwt")
 
@@ -112,46 +114,41 @@ class CheckResult:
 
 
 def thread_count(requested: Optional[int] = None) -> int:
-    """Worker threads: `requested`, else APSA_THREADS, else the usable CPUs; at least 1."""
-    if requested is not None:
-        return max(1, requested)
-    env = os.environ.get("APSA_THREADS")
+    """Worker threads: `requested`, else APSA_THREADS, else the usable CPUs; below 1 raises ValueError."""
+    env = os.environ.get("APSA_THREADS") if requested is None else None
     if env:
         try:
-            return max(1, int(env))
+            requested = int(env)
         except ValueError:
             raise ValueError(f"APSA_THREADS={env} is not an integer") from None
+    if requested is not None:
+        if requested < 1:
+            raise ValueError(f"{'APSA_THREADS' if env else 'threads'}={requested} is not a positive count")
+        return requested
     if hasattr(os, "sched_getaffinity"):  # the affinity mask, not every CPU of the machine
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
 def pick_parameters(n: int, case: str, seed) -> APPerm:
-    """Deterministically choose (k, p1) realizing `case` at length n."""
+    """Deterministically choose (k, p1) realizing `case` at length n, by one rejection sampler.
+
+    n below _MIN_LENGTH[case] (binary3 2, binary1 and binary2 3, ternary 4) raises ValueError.
+    """
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
     if n < 1:
         raise ValueError(f"length must be positive, got {n}")
+    if n < _MIN_LENGTH[case]:
+        raise ValueError(f"no ratio realizes case {case!r} at length {n}")
     rng = random.Random(f"{seed}|{n}|{case}")
     if case == "unary":
         return APPerm(n, n - 1 if n > 1 else 1, n)
     exclude_top = case in ("binary1", "binary2")  # with k = n-1 their p1 = n: the reversal
-    if n <= 4096:
-        ks = [
-            k
-            for k in range(1, n)
-            if gcd(k, n) == 1 and not (exclude_top and k == n - 1)
-        ]
-        if case == "ternary" and n < 4:
-            ks = []
-        if not ks:
-            raise ValueError(f"no ratio realizes case {case!r} at length {n}")
-        k = rng.choice(ks)
-    else:
-        while True:  # rejection sampling; coprime ratios are dense
-            k = rng.randrange(1, n)
-            if gcd(k, n) == 1 and not (exclude_top and k == n - 1):
-                break
+    while True:  # coprime ratios are dense
+        k = rng.randrange(1, n)
+        if gcd(k, n) == 1 and not (exclude_top and k == n - 1):
+            break
     if case == "binary1":
         p1 = n
     elif case == "binary2":

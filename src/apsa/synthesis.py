@@ -35,12 +35,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations_with_replacement, filterfalse, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import APPerm, _check_range, ap_array, ap_inverse, ap_position_of, canonical_residue
+from .core import APPerm, _check_range, _entry, ap_array, ap_inverse, ap_position_of, canonical_residue
 from .errors import (
     AlphabetTooSmallError,
     InvalidSplitError,
@@ -148,6 +149,7 @@ def _breaks_records(ch: str) -> bool:
     )
 
 
+@lru_cache(maxsize=1)  # every batch of one enumeration asks for the same table
 def _rank_alphabet(sigma: int) -> str:
     """The characters of ranks 1..sigma, strictly increasing.
 
@@ -243,7 +245,7 @@ def _text_codes(
         for j in {1, n, *cuts, *(b + 1 for b in cuts)} - {0, n + 1}:
             # the rank rule at the neighbour j + side (cyclically), less that at j
             delta = bisect_left(cuts, (j + side - 1) % n + 1) - bisect_left(cuts, j)
-            x = (perm.p1 - 1 + (j - 1) * k) % n  # isa[x] = j
+            x = _entry(perm, j) - 1  # isa[x] = j
             if delta and start <= x < stop - q:
                 codes[x - start + q :: q] += np.uint8(delta % 256)
         return codes
@@ -280,7 +282,7 @@ def _result(perm: APPerm, case: SynthCase, boundaries: tuple[int, ...]) -> Synth
     """
     text = _text_of(_text_codes(perm, boundaries))
     b0 = boundaries[0] if boundaries else perm.n
-    p_s = canonical_residue(perm.p1 + (b0 - 1) * perm.k, perm.n)
+    p_s = _entry(perm, b0)
     canonical = len(boundaries) == len(required_splits(perm))
     s = b0 if canonical and len(boundaries) == 1 else None
     periodic = canonical and perm.n > 1 and case in (SynthCase.UNARY, SynthCase.BINARY1, SynthCase.BINARY2)
@@ -344,7 +346,7 @@ def binary_closed_form(perm: APPerm) -> str:
 
 
 def synth_unary_family(n: int, sigma: int) -> Iterator[str]:
-    """All strings of descending character blocks, lazily, in lexicographic order.
+    """All strings of descending character blocks, lazily, in colexicographic order.
 
     These are exactly the strings of length n over sigma ranks whose suffix
     array is [n, n-1, ..., 1]; there are C(n + sigma - 1, n) of them.

@@ -56,7 +56,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import APPerm, ap_array, ap_inverse, canonical_residue
+from .core import APPerm, _entry, ap_array, ap_inverse, canonical_residue
 from .errors import UnsupportedCaseError
 from .synthesis import (
     _canonical_boundaries,
@@ -360,12 +360,12 @@ def _smallest_period(text: str, perm: APPerm) -> Optional[int]:
     shorter one or where P[j]'s side reaches the last position of a letter's
     block, P[b] for b a letter boundary, whichever comes first.
     """
-    n, k = perm.n, perm.k
+    n = perm.n
     top = ap_inverse(perm).p1  # the whole text's rank
     below = ap_array(perm, 0, top - 1)
     counts = np.bincount(_codes_of(text))
     bounds = np.cumsum(counts[counts > 0])[:-1]  # index-space letter boundaries
-    ends = np.sort((perm.p1 - 1 + (bounds - 1) * k) % n + 1)
+    ends = np.sort(_entry(perm, bounds))
     # The next block end at or after each P[j], cyclically; 2n stands for none.
     ends = np.concatenate((ends, ends[:1] + n, [2 * n]))
     own = n + 1 - below  # each suffix's length; P[top] = 1 is the whole text

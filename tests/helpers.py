@@ -147,27 +147,47 @@ def run_capped(code):
 def run_measured(code, timeout=120):
     """Run Python `code` in a child process; return (returncode, output, peak RSS in MiB).
 
-    The peak is the ru_maxrss that wait4 reports for that one child, so
-    neither this process nor its other children count.  The output is
-    stdout and stderr together.  A child still running after `timeout`
-    seconds is killed.
+    The peak is the child's own VmHWM, which the child reads from
+    /proc/self/status at exit and writes to a pipe.  VmHWM belongs to the
+    child's address space and starts afresh at exec; ru_maxrss from wait4
+    would start at this process's own high-water mark, whether the child is
+    spawned by vfork or fork.  A child that exits without reporting (killed
+    after `timeout` seconds, or by os._exit) raises RuntimeError.  The
+    output is stdout and stderr together.
     """
     src = os.path.dirname(os.path.dirname(os.path.abspath(apsa.__file__)))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.Popen(
-        [sys.executable, "-c", code],
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
+    report_r, report_w = os.pipe()
+    # Registered first, so it runs after every handler the code registers.
+    report = (
+        "import atexit, os\n"
+        "def _report_vmhwm():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        line = next(line for line in fh if line.startswith('VmHWM:'))\n"
+        f"    os.write({report_w}, line.split()[1].encode())\n"
+        "atexit.register(_report_vmhwm)\n"
     )
-    killer = threading.Timer(timeout, proc.kill)
-    killer.start()
-    try:
-        with proc.stdout:
-            out = proc.stdout.read()
-        _, status, usage = os.wait4(proc.pid, 0)
-    finally:
-        killer.cancel()
-    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait again
-    return proc.returncode, out, usage.ru_maxrss / 1024  # KiB on Linux
+    with os.fdopen(report_r, "rb") as reported:
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", report + code],
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT,
+                text=True,
+                pass_fds=(report_w,),
+            )
+        finally:
+            os.close(report_w)  # the child's copy is the only writer left
+        killer = threading.Timer(timeout, proc.kill)
+        killer.start()
+        try:
+            with proc.stdout:
+                out = proc.stdout.read()
+            proc.wait()
+        finally:
+            killer.cancel()
+        kib = reported.read()
+    if not kib:
+        raise RuntimeError(f"child exited with {proc.returncode} and reported no peak RSS:\n{out}")
+    return proc.returncode, out, int(kib) / 1024  # VmHWM is in kB

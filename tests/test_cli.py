@@ -217,6 +217,38 @@ def test_corpus_bad_thread_env_exits_2_before_writing(tmp_path, capsys, monkeypa
     assert "APSA_THREADS=abc" in err
 
 
+@pytest.mark.parametrize(
+    "flags, env, message",
+    [
+        (["--threads", "0"], None, "threads=0 is not a positive count"),
+        (["--threads", "-2"], None, "threads=-2 is not a positive count"),
+        ([], "0", "APSA_THREADS=0 is not a positive count"),
+    ],
+    ids=["threads-0", "threads-minus-2", "env-0"],
+)
+def test_corpus_refuses_fewer_than_one_thread(tmp_path, capsys, monkeypatch, flags, env, message):
+    import apsa.corpus as corpus
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool started")
+
+    monkeypatch.setattr(corpus, "ThreadPoolExecutor", no_pool)
+    if env is None:
+        monkeypatch.delenv("APSA_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("APSA_THREADS", env)
+    out_dir = tmp_path / "corpus"
+    out_dir.mkdir()
+    code, out, err = run(capsys, "corpus", "gen", "--out", str(out_dir), "--sizes", "10",
+                         "--cases", "binary1", *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert list(out_dir.iterdir()) == []
+    # verify resolves the threads before it opens the manifest (else exit 3)
+    code, out, err = run(capsys, "corpus", "verify", str(out_dir / "manifest.txt"), *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert list(out_dir.iterdir()) == []
+
+
 @pytest.mark.parametrize("sizes, cases", [("0", "unary"), ("5", "unary,nope")])
 def test_corpus_gen_bad_parameters_leave_no_directory(tmp_path, capsys, sizes, cases):
     out_dir = tmp_path / "d"

@@ -3,6 +3,7 @@ import pytest
 
 from apsa.core import (
     APPerm,
+    _entry,
     ap_array,
     ap_detect,
     ap_inverse,
@@ -192,6 +193,16 @@ def test_ap_position_of():
         p = ap_materialize(perm)
         for i, v in enumerate(p, start=1):
             assert ap_position_of(perm, v) == i
+
+
+def test_entry_matches_materialize():
+    for n in range(1, 31):
+        indices = np.arange(1, n + 1, dtype=np.int64)
+        for perm in iter_ap_perms(n):
+            p = ap_materialize(perm)
+            assert [_entry(perm, i) for i in range(1, n + 1)] == p
+            entries = _entry(perm, indices)
+            assert entries.dtype == np.int64 and entries.tolist() == p
 
 
 def test_ap_array_refuses_int64_overflow_before_allocating():

@@ -51,6 +51,28 @@ def test_pick_parameters_rejects_impossible():
         pick_parameters(8, "sparkly", 0)
 
 
+def test_pick_parameters_refuses_below_the_minimum_lengths():
+    refused = {(1, "binary1"), (1, "binary2"), (1, "binary3"), (1, "ternary"),
+               (2, "binary1"), (2, "binary2"), (2, "ternary"), (3, "ternary")}
+    for n in range(1, 9):
+        for case in CASES:
+            if (n, case) in refused:
+                with pytest.raises(ValueError, match=f"no ratio realizes case '{case}' at length {n}"):
+                    pick_parameters(n, case, 0)
+            else:
+                assert classify(pick_parameters(n, case, 0))[0].value == case
+
+
+def test_pick_parameters_draws_at_ten_million_are_frozen():
+    # Corpora written by earlier versions at this length must stay reproducible.
+    assert [pick_parameters(10**7, case, 0) for case in ("binary1", "binary2", "binary3", "ternary")] == [
+        APPerm(10**7, 4916493, 10**7),
+        APPerm(10**7, 8879707, 8879708),
+        APPerm(10**7, 3907099, 1),
+        APPerm(10**7, 880481, 8967894),
+    ]
+
+
 def test_fast_builders_match_synthesis():
     for n in (2, 3, 8, 31, 64, 257):
         for case in CASES:
@@ -442,6 +464,18 @@ def test_generation_peak_memory_is_bounded(tmp_path):
     assert code == 0, out
     assert (tmp_path / "c" / "ternary-n10000000.sa").stat().st_size == 8 * 10**7
     assert peak_mib < 150, peak_mib
+
+
+def test_run_measured_counts_the_child_alone():
+    from helpers import run_measured
+
+    ballast = np.ones(200 << 20, dtype=np.uint8)  # this process holds 200 MiB more
+    code, out, peak_mib = run_measured("pass")
+    assert (code, out) == (0, "")
+    assert peak_mib < 64, peak_mib
+    del ballast
+    with pytest.raises(RuntimeError, match="reported no peak RSS"):
+        run_measured("import os\nos._exit(0)")
 
 
 def test_ranges_outside_the_entry_raise():

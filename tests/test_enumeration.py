@@ -192,3 +192,17 @@ def test_enumerate_matches_reference_rendering(n, sigmas):
         for sigma in sigmas:
             if sigma >= sigma_min(perm):
                 assert list(enumerate_strings(perm, sigma)) == list(reference_strings(perm, sigma))
+
+
+def test_one_enumeration_builds_the_rank_alphabet_once(monkeypatch):
+    import apsa.enumeration as enumeration
+    import apsa.synthesis as synthesis
+
+    builds = []
+    real = synthesis.filterfalse
+    monkeypatch.setattr(synthesis, "filterfalse", lambda *args: builds.append(args) or real(*args))
+    monkeypatch.setattr(enumeration, "_BATCH_CELLS", 256)  # 7 rows a batch, 709 batches
+    synthesis._rank_alphabet.cache_clear()
+    texts = list(enumerate_strings(APPerm(3, 2, 3), 30))
+    assert len(texts) == comb(3 + 29, 3)
+    assert len(builds) == 1

@@ -199,6 +199,16 @@ def test_unary_family_examples():
     assert len(set(two_over_three)) == 6
 
 
+def test_unary_family_is_the_reversal_enumeration_reversed():
+    from apsa.enumeration import enumerate_strings
+
+    for n in range(1, 7):
+        reversal = APPerm(n, n - 1, n) if n > 1 else APPerm(1, 1, 1)
+        for sigma in range(1, 5):
+            expected = list(enumerate_strings(reversal, sigma))[::-1]
+            assert list(synth_unary_family(n, sigma)) == expected
+
+
 def test_unary_family_all_have_reversal_sa():
     for n in range(1, 7):
         for sigma in range(1, 4):
