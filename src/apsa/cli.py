@@ -83,7 +83,7 @@ def _cmd_classify(args) -> int:
         parts.append(f"period={period}")
     # A word is Lyndon exactly when its suffix array starts with 1.
     parts.append(f"lyndon={'true' if perm.p1 == 1 else 'false'}")
-    if set(text) <= {"a", "b"}:
+    if text.count("a") + text.count("b") == len(text):
         parts.append(f"balanced={'true' if balanced_via_slope(text) else 'false'}")
     print(" ".join(parts))
     return 0
@@ -109,8 +109,9 @@ def _cmd_christoffel(args) -> int:
 
 def _check_record_size(chars: int) -> None:
     if chars > MAX_RECORD_CHARS:
+        bound = min(chars, 1 << 64)  # still a lower bound, and within Python's digit limit
         raise ValueError(
-            f"record exceeds the limit of {MAX_RECORD_CHARS} characters (at least {chars})"
+            f"record exceeds the limit of {MAX_RECORD_CHARS} characters (at least {bound})"
         )
 
 
@@ -137,6 +138,8 @@ def _cmd_fib(args) -> int:
 def _cmd_enumerate(args) -> int:
     perm = _perm_from_args(args)
     free = args.sigma - _require_alphabet(perm, args.sigma)[1]
+    # C(n + free, free) >= n + free once free >= 1: a cheap bound refuses first.
+    _check_record_size(perm.n * (perm.n + free if free else 1))
     count = comb(perm.n + free, free)
     _check_record_size(count * perm.n)
     _rank_alphabet(args.sigma)  # refuses more ranks than the table has before any output

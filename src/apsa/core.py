@@ -161,17 +161,8 @@ def ap_materialize(perm: APPerm) -> list[int]:
     return ap_array(perm).tolist()
 
 
-def ap_detect(values: Iterable[int]) -> Optional[APPerm]:
-    """Recognize an arithmetically progressed permutation, if the array is one.
-
-    Accepts any sequence, iterable or array of integers, Python or numpy.
-    Returns the (n, k, p1) descriptor, or None for anything else: bools,
-    floats and other non-integers, arrays that are not permutations of
-    [1..n], or permutations whose successive differences are not constant
-    modulo n.  Checking the n-1 adjacent differences suffices because the
-    cyclic wrap difference is forced (the n cyclic differences sum to 0
-    modulo n).
-    """
+def _permutation(values: Iterable[int]) -> Optional[np.ndarray]:
+    """The integers 1..n in some order as int64 (an int64 array uncopied), else None."""
     if not isinstance(values, np.ndarray):
         if not isinstance(values, Sequence):
             values = list(values)
@@ -180,12 +171,25 @@ def ap_detect(values: Iterable[int]) -> Optional[APPerm]:
             return None
     seq = np.asarray(values)
     n = seq.size
-    if seq.ndim != 1 or n == 0 or seq.dtype.kind not in "iu":
+    if seq.ndim != 1 or n and (seq.dtype.kind not in "iu" or seq.min() < 1 or seq.max() > n):
         return None
-    if seq.min() < 1 or seq.max() > n:
-        return None
-    seq = seq.astype(np.int64, copy=False)
-    if np.bincount(seq, minlength=n + 1).max() > 1:
+    seq = seq.astype(np.int64, copy=False)  # an empty list comes in as float64
+    return None if np.bincount(seq, minlength=n + 1).max() > 1 else seq
+
+
+def ap_detect(values: Iterable[int]) -> Optional[APPerm]:
+    """Recognize an arithmetically progressed permutation, if the array is one.
+
+    Accepts any sequence, iterable or array of integers, Python or numpy.
+    Returns the (n, k, p1) descriptor, or None for anything else: bools,
+    floats and other non-integers, arrays that are not permutations of
+    [1..n] (the check of :func:`_permutation`), or permutations whose
+    successive differences are not constant modulo n.  Checking the n-1
+    adjacent differences suffices because the cyclic wrap difference is
+    forced (the n cyclic differences sum to 0 modulo n).
+    """
+    seq = _permutation(values)
+    if seq is None or not (n := seq.size):
         return None
     if n == 1:
         return APPerm(1, 1, 1)

@@ -171,7 +171,7 @@ def balanced2_factorization(w: str) -> Factorization:
 def _check_binary(w: str) -> None:
     if not w:
         raise ValueError("empty word")
-    if set(w) - {"a", "b"}:
+    if w.count("a") + w.count("b") != len(w):
         raise ValueError(f"expected a word over 'a','b', got {w!r}")
 
 

@@ -56,7 +56,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import APPerm, _entry, ap_array, ap_inverse, canonical_residue
+from .core import APPerm, _entry, _permutation, ap_array, ap_inverse, canonical_residue
 from .errors import UnsupportedCaseError
 from .synthesis import (
     _canonical_boundaries,
@@ -273,10 +273,10 @@ def _doubling_numpy(codes: np.ndarray) -> np.ndarray:
         step <<= 1
 
 
-def _suffix_order(text: str) -> list[int] | np.ndarray:
-    """0-based suffix starts in order: a list below _NUMPY_THRESHOLD, else an int64 array."""
+def _suffix_order(text: str) -> np.ndarray:
+    """0-based suffix starts in order, as an int64 vector."""
     if len(text) < _NUMPY_THRESHOLD:
-        return _doubling_small([ord(c) for c in text])
+        return np.array(_doubling_small([ord(c) for c in text]), dtype=np.int64)
     # A sentinel below every code point makes the suffix order the rotation
     # order; its own rotation sorts first and is dropped.
     return _doubling_numpy(np.append(_codes_of(text).astype(np.int64), -1))[1:]
@@ -289,10 +289,7 @@ def suffix_array(text: str) -> SuffixArrayView:
     """
     if not text:
         raise ValueError("empty text has no suffix array")
-    order = _suffix_order(text)
-    if isinstance(order, list):
-        return SuffixArrayView(text, tuple(i + 1 for i in order))
-    return SuffixArrayView(text, tuple((order + 1).tolist()))
+    return SuffixArrayView(text, tuple((_suffix_order(text) + 1).tolist()))
 
 
 def progression_holds(codes: np.ndarray, perm: APPerm) -> bool:
@@ -376,25 +373,27 @@ def _smallest_period(text: str, perm: APPerm) -> Optional[int]:
     return int(borders.min()) - 1 if borders.size else None
 
 
-def inverse_sa(sa: Sequence[int]) -> list[int]:
-    """Inverse of a 1-based permutation: result[sa[i]] = i."""
-    n = len(sa)
-    out = [0] * n
-    for i, v in enumerate(sa, start=1):
-        if not isinstance(v, (int, np.integer)) or not 1 <= v <= n or out[v - 1]:
-            raise ValueError("input is not a permutation of [1..n]")
-        out[v - 1] = i
-    return out
+def inverse_sa(sa: Iterable[int]) -> list[int]:
+    """Inverse of a 1-based permutation, result[sa[i]] = i, by one numpy scatter.
+
+    Raises ValueError unless `sa` holds each of 1..n once as integers, not
+    bools or floats; the empty permutation is its own inverse.
+    """
+    if (sa := _permutation(sa)) is None:
+        raise ValueError("input is not a permutation of [1..n]")
+    out = np.empty(sa.size, dtype=np.int64)
+    out[sa - 1] = np.arange(1, sa.size + 1)
+    return out.tolist()
 
 
 def bwt_from_sa(text: str, sa: Optional[Sequence[int]] = None) -> BwtProfile:
     """BWT from the suffix array: the character cyclically preceding each suffix.
 
-    `sa` may be any integer sequence or array holding each of 1..n once; it
-    must pass Burkhardt and Kärkkäinen's O(n) suffix-array check.  Without
-    it, a text whose suffix array is a progression reads it off
-    :func:`progression_of` in O(n), and only other texts are sorted.  One
-    gather picks the characters.
+    `sa` may be any integer sequence or array; it is checked as in
+    :func:`inverse_sa` and must also pass Burkhardt and Kärkkäinen's O(n)
+    suffix-array check.  Without it, a text whose suffix array is a
+    progression reads it off :func:`progression_of` in O(n), and only other
+    texts are sorted.  One gather picks the characters.
     """
     n = len(text)
     if n == 0:
@@ -402,14 +401,13 @@ def bwt_from_sa(text: str, sa: Optional[Sequence[int]] = None) -> BwtProfile:
     codes = _codes_of(text)
     if sa is None:
         perm = progression_of(text)
-        starts = np.asarray(_suffix_order(text)) if perm is None else ap_array(perm) - 1
+        starts = _suffix_order(text) if perm is None else ap_array(perm) - 1
     else:
         if len(sa) != n:
             raise ValueError(f"suffix array length {len(sa)} != text length {n}")
-        starts = np.asarray(sa).astype(np.int64, casting="same_kind")
-        if not (starts.min() >= 1 and starts.max() <= n and np.bincount(starts).max() == 1):
+        if (starts := _permutation(sa)) is None:
             raise ValueError("suffix array is not a permutation of [1..n]")
-        starts -= 1
+        starts = starts - 1  # a new vector: the given array may be this one
         # Adjacent a, b need T[a] < T[b], or T[a] = T[b] and the suffix at
         # a + 1 ranked below the one at b + 1; the empty suffix ranks -1.
         rank = np.full(n + 1, -1, dtype=np.int64)

@@ -4,7 +4,7 @@ import os
 import resource
 import subprocess
 import sys
-import threading
+import tempfile
 from itertools import product
 from math import gcd
 
@@ -144,50 +144,72 @@ def run_capped(code):
     )
 
 
+# Written as sitecustomize.py by vmhwm_env, so every Python child imports it at
+# startup and registers the report before any other atexit handler, which
+# makes the report run last.
+_VMHWM_HOOK = """\
+import atexit, os
+
+
+def _report_vmhwm():
+    with open("/proc/self/status") as fh:
+        kib = next(line for line in fh if line.startswith("VmHWM:")).split()[1]
+    with open(os.environ["VMHWM_LOG"], "a") as log:
+        log.write(kib + "\\n")
+
+
+atexit.register(_report_vmhwm)
+"""
+
+
+def vmhwm_env(directory):
+    """Environment in which every Python child logs its own peak RSS as it exits.
+
+    Writes a sitecustomize module to `directory` whose atexit hook appends
+    the child's VmHWM to a log there; :func:`reported_peaks_mib` reads it.
+    VmHWM belongs to the child's address space and starts afresh at exec;
+    ru_maxrss from wait4 would start at this process's own high-water mark,
+    whether the child is spawned by vfork or fork.  Console scripts run
+    unchanged, with this checkout's `src` first on the path.
+    """
+    with open(os.path.join(directory, "sitecustomize.py"), "w") as fh:
+        fh.write(_VMHWM_HOOK)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(apsa.__file__)))
+    return dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join((directory, src)),
+        OPENBLAS_NUM_THREADS="1",
+        VMHWM_LOG=os.path.join(directory, "vmhwm.log"),
+    )
+
+
+def reported_peaks_mib(directory):
+    """Peak RSS in MiB of each child run under vmhwm_env(directory), in exit order."""
+    path = os.path.join(directory, "vmhwm.log")
+    if not os.path.exists(path):
+        return []
+    with open(path) as fh:
+        return [int(kib) / 1024 for kib in fh]  # VmHWM is in kB
+
+
 def run_measured(code, timeout=120):
     """Run Python `code` in a child process; return (returncode, output, peak RSS in MiB).
 
-    The peak is the child's own VmHWM, which the child reads from
-    /proc/self/status at exit and writes to a pipe.  VmHWM belongs to the
-    child's address space and starts afresh at exec; ru_maxrss from wait4
-    would start at this process's own high-water mark, whether the child is
-    spawned by vfork or fork.  A child that exits without reporting (killed
-    after `timeout` seconds, or by os._exit) raises RuntimeError.  The
-    output is stdout and stderr together.
+    The peak is the child's own VmHWM, reported through :func:`vmhwm_env`.
+    A child that exits without reporting (os._exit, or a signal) raises
+    RuntimeError; one that runs past `timeout` seconds is killed and raises
+    subprocess.TimeoutExpired.  The output is stdout and stderr together.
     """
-    src = os.path.dirname(os.path.dirname(os.path.abspath(apsa.__file__)))
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    report_r, report_w = os.pipe()
-    # Registered first, so it runs after every handler the code registers.
-    report = (
-        "import atexit, os\n"
-        "def _report_vmhwm():\n"
-        "    with open('/proc/self/status') as fh:\n"
-        "        line = next(line for line in fh if line.startswith('VmHWM:'))\n"
-        f"    os.write({report_w}, line.split()[1].encode())\n"
-        "atexit.register(_report_vmhwm)\n"
-    )
-    with os.fdopen(report_r, "rb") as reported:
-        try:
-            proc = subprocess.Popen(
-                [sys.executable, "-c", report + code],
-                env=env,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.STDOUT,
-                text=True,
-                pass_fds=(report_w,),
-            )
-        finally:
-            os.close(report_w)  # the child's copy is the only writer left
-        killer = threading.Timer(timeout, proc.kill)
-        killer.start()
-        try:
-            with proc.stdout:
-                out = proc.stdout.read()
-            proc.wait()
-        finally:
-            killer.cancel()
-        kib = reported.read()
-    if not kib:
-        raise RuntimeError(f"child exited with {proc.returncode} and reported no peak RSS:\n{out}")
-    return proc.returncode, out, int(kib) / 1024  # VmHWM is in kB
+    with tempfile.TemporaryDirectory() as hook:
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=vmhwm_env(hook),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            timeout=timeout,
+        )
+        peaks = reported_peaks_mib(hook)
+    if not peaks:
+        raise RuntimeError(f"child exited with {proc.returncode} and reported no peak RSS:\n{proc.stdout}")
+    return proc.returncode, proc.stdout, peaks[0]

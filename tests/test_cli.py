@@ -436,6 +436,14 @@ CLASSIFY_BINARY_RECORDS = {
     "baaaa": "ap=true n=5 k=4 p1=5 case=unary lyndon=false balanced=true",
     "a": "ap=true n=1 k=1 p1=1 case=unary lyndon=true balanced=true",
     "b": "ap=true n=1 k=1 p1=1 case=unary lyndon=true balanced=true",
+    # A letter beyond a and b: no balance field.
+    "ac": "ap=true n=2 k=1 p1=1 case=binary3 lyndon=true",
+    "ca": "ap=true n=2 k=1 p1=2 case=unary lyndon=false",
+    "bbbc": "ap=true n=4 k=1 p1=1 case=binary3 lyndon=true",
+    "babbabac": "ap=true n=8 k=5 p1=5 case=ternary lyndon=false",
+    "\u00e1": "ap=true n=1 k=1 p1=1 case=unary lyndon=true",
+    "a\U0001f600": "ap=true n=2 k=1 p1=1 case=binary3 lyndon=true",
+    "\U0001f600a": "ap=true n=2 k=1 p1=2 case=unary lyndon=false",
 }
 
 
@@ -485,6 +493,23 @@ def test_enumerate_small_alphabet_prints_nothing(capsys):
     code, out, err = run(capsys, "enumerate", "-n", "8", "-k", "5", "--p1", "5", "--sigma", "2")
     assert code == 2 and out == ""
     assert "below the required minimum 3" in err
+
+
+@pytest.mark.parametrize("sigma", [2**31, 2**63 - 1])
+def test_enumerate_refuses_a_huge_count_before_computing_it(sigma):
+    # The exact count C(n + free, free), free = sigma - 2 here, is slow to
+    # compute and has more digits than Python prints; n + free bounds it below.
+    import time
+
+    from helpers import run_capped
+
+    n = 100000 if sigma == 2**31 else 1000000
+    argv = ["enumerate", "-n", str(n), "-k", "1", "--p1", "1", "--sigma", str(sigma)]
+    start = time.monotonic()
+    proc = run_capped(f"import sys\nfrom apsa.cli import main\nsys.exit(main({argv!r}))\n")
+    assert time.monotonic() - start < 10
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "exceeds the limit" in proc.stderr, proc.stderr
 
 
 def test_enumerate_beyond_the_rank_table_prints_nothing():

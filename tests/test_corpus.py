@@ -478,6 +478,21 @@ def test_run_measured_counts_the_child_alone():
         run_measured("import os\nos._exit(0)")
 
 
+def test_vmhwm_env_logs_each_child_alone(tmp_path):
+    import subprocess
+    import sys
+
+    from helpers import reported_peaks_mib, vmhwm_env
+
+    env = vmhwm_env(str(tmp_path))
+    ballast = np.ones(200 << 20, dtype=np.uint8)  # this process holds 200 MiB more
+    for argv in (["-m", "apsa.cli", "fib", "-m", "5"], ["-c", "x = b'1' * (100 << 20)"]):
+        subprocess.run([sys.executable, *argv], env=env, check=True, stdout=subprocess.DEVNULL)
+    del ballast
+    small, large = reported_peaks_mib(str(tmp_path))
+    assert small < 64 and 100 < large < 164, (small, large)
+
+
 def test_ranges_outside_the_entry_raise():
     for n in range(1, 13):
         edges = [-2, -1, 0, 1, n - 1, n, n + 1, n + 3]

@@ -226,6 +226,10 @@ def test_balance_checks_reject_non_binary():
         is_balanced("abc")
     with pytest.raises(ValueError):
         balanced_via_bwt("abc")
+    for word in ("ac", "ca", "\u00e1", "a\U0001f600", "abab\x00"):
+        for check in (is_balanced, balanced_via_bwt, balanced_via_slope):
+            with pytest.raises(ValueError, match="expected a word over"):
+                check(word)
 
 
 def test_balanced_agreement_exhaustive():

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apsa.christoffel import christoffel_word
-from apsa.core import APPerm, ap_array, ap_materialize
+from apsa.core import APPerm, ap_array, ap_detect, ap_materialize
 from apsa.corpus import entry_text_bytes, predicted_bwt_runs
 from apsa.lyndonlab import balanced2_factorization, balanced_via_bwt, is_balanced, is_balanced2
 from apsa.synthesis import (
@@ -31,6 +31,7 @@ from apsa.textindex import (
     bwt_from_matrix,
     bwt_from_sa,
     bwt_runs,
+    inverse_sa,
     suffix_array,
 )
 
@@ -271,3 +272,55 @@ def test_tiled_text_codes_match_the_isa_route(case, data):
         mp.setattr(synthesis, "_TILE_MIN", 0)
         got = _text_codes(perm, boundaries, start, start + length)
     assert got.tobytes() == whole[start : start + length].tobytes()
+
+
+@st.composite
+def permutations_with_a_defect(draw):
+    """A permutation of 1..n (n <= 200) as a list, tuple or array, with at most one defect.
+
+    The defects: a duplicate, 0-based values, n + 1 in place of an entry, and
+    True or a float in place of the entry of equal value, which leaves the
+    numbers a permutation.  Bools go into lists only, since an array would
+    turn them into ints.
+    """
+    n = draw(st.integers(1, 200))
+    values = draw(st.permutations(range(1, n + 1)))
+    defect = draw(st.sampled_from(["none", "duplicate", "zero-based", "n+1", "bool", "float"]))
+    i = draw(st.integers(0, n - 1))
+    if defect == "duplicate" and n > 1:
+        values[i] = values[i - 1]
+    elif defect == "zero-based":
+        values = [v - 1 for v in values]
+    elif defect == "n+1":
+        values[i] = n + 1
+    elif defect == "bool":
+        values[values.index(1)] = True
+    elif defect == "float":
+        values[i] = float(values[i])
+    else:
+        defect = "none"
+    form = draw(st.sampled_from([list, tuple] if defect == "bool" else [list, tuple, np.array]))
+    return form(values), defect
+
+
+@bounded
+@given(permutations_with_a_defect())
+def test_one_permutation_check_behind_inverse_sa_bwt_from_sa_and_ap_detect(case):
+    values, defect = case
+    n = len(values)
+    try:
+        inverse = inverse_sa(values)
+    except ValueError:
+        inverse = None
+    try:
+        bwt_from_sa("a" * n, values)
+        refused = False
+    except ValueError as exc:
+        refused = "not a permutation" in str(exc)
+    assert (inverse is None) == refused == (defect != "none")
+    detected = ap_detect(values)
+    if defect != "none":
+        assert detected is None
+    else:
+        assert inverse_sa(inverse) == list(values)
+        assert detected is None or ap_array(detected).tolist() == list(values)

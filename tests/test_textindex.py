@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import numpy as np
@@ -110,6 +111,7 @@ def test_packed_key_width_fills_int64(base, width):
         ([5, 2, 7, 4, 1, 6, 3, 8], [5, 2, 7, 4, 1, 6, 3, 8]),
         ([1, 2, 3, 4], [1, 2, 3, 4]),
         ([3, 1, 2], [2, 3, 1]),
+        ([], []),
     ],
 )
 def test_inverse_sa(sa, expected):
@@ -121,6 +123,41 @@ def test_inverse_sa_rejects_non_permutation():
         inverse_sa([1, 1, 2])
     with pytest.raises(ValueError):
         inverse_sa([0, 1, 2])
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [True],
+        [True, 2],
+        np.array([True]),
+        [2.0, 1.0],
+        np.array([2.0, 1.0]),
+        ["2", "1"],
+        [[1]],
+        [1, 1],
+        [0, 1],
+        [1, 3],
+    ],
+)
+def test_every_permutation_check_refuses_the_same_inputs(values):
+    from apsa.core import ap_detect
+
+    assert ap_detect(values) is None
+    with pytest.raises(ValueError):
+        inverse_sa(values)
+    with pytest.raises(ValueError, match="not a permutation"):
+        bwt_from_sa("ab"[: len(values)], values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
+def test_suffix_order_is_int64_at_every_length(n):
+    from apsa.textindex import _suffix_order
+
+    text = "".join(random.Random(n).choice("abc") for _ in range(n))
+    order = _suffix_order(text)
+    assert order.dtype == np.int64
+    assert tuple((order + 1).tolist()) == naive_sa(text)
 
 
 def test_isa_closed_form():
