@@ -17,17 +17,17 @@ is the progression (n, k, p1) lists its characters in sorted order along
 that suffix array, and its BWT is that sorted string rotated left by n
 minus the inverse ratio.
 
-The suffix-array oracle is prefix doubling, O(n log n): pure Python for
-short texts, a numpy kernel from 64 characters on.  The kernel sorts
-rotations only, in O(n log n) time and O(n) memory; its first round ranks a
-packed key, the first c characters of each rotation with as many characters
-as an int64 holds, so doubling starts at step c instead of 1.  The matrix
-BWT reads the sorted rotations directly.  For the suffix array the text
-gets one sentinel below every character: every rotation of the longer text
-then sorts as its suffix up to the sentinel does, so dropping the
-sentinel's own rotation, which sorts first, leaves the suffix order.
-Linear-time construction is out of scope here on purpose: these are
-desk-scale reference oracles.
+The suffix-array oracle sorts texts shorter than 256 characters by the
+definition, comparing the suffixes themselves, and longer ones with a numpy
+prefix-doubling kernel.  The kernel sorts rotations only, in O(n log n)
+time and O(n) memory; its first round ranks a packed key, the first c
+characters of each rotation with as many characters as an int64 holds, so
+doubling starts at step c instead of 1.  The matrix BWT reads the sorted
+rotations directly.  For the suffix array the text gets one sentinel below
+every character: every rotation of the longer text then sorts as its suffix
+up to the sentinel does, so dropping the sentinel's own rotation, which
+sorts first, leaves the suffix order.  Linear-time construction is out of
+scope here on purpose: these are desk-scale reference oracles.
 
 Whether a text has a progressed suffix array needs no sort.  The
 progression P = (n, k, p1) is the suffix array of T exactly when
@@ -48,6 +48,7 @@ tested against.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import pairwise
 from math import gcd
@@ -87,7 +88,7 @@ __all__ = [
     "parse_compact_runs",
 ]
 
-_NUMPY_THRESHOLD = 64
+_NUMPY_THRESHOLD = 256
 _CHUNK = 1 << 20
 
 
@@ -142,28 +143,25 @@ def expand_runs(runs: Iterable[tuple[str, int]]) -> str:
 
 
 def compact_runs(runs: Iterable[tuple[str, int]]) -> str:
-    """Serialize runs as concatenated <char><count> tokens, e.g. b4c1a3."""
+    """Serialize runs as <char><count> tokens, e.g. b4c1a3; a decimal <char> raises ValueError."""
+    runs = tuple(runs)
+    if any(ch.isdecimal() for ch, _ in runs):
+        raise ValueError("a decimal digit cannot be a run character")
     return "".join(f"{ch}{count}" for ch, count in runs)
 
 
 def parse_compact_runs(text: str) -> tuple[tuple[str, int], ...]:
-    runs = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        j = i + 1
-        while j < len(text) and text[j].isdigit():
-            j += 1
-        if j == i + 1:
-            raise ValueError(f"malformed run encoding {text!r}")
-        runs.append((ch, int(text[i + 1 : j])))
-        i = j
-    return tuple(runs)
+    """Read back :func:`compact_runs`: each count is ASCII digits after one non-digit."""
+    if not re.fullmatch(r"(?:\D[0-9]+)*", text):
+        raise ValueError(f"malformed run encoding {text!r}")
+    return tuple((ch, int(count)) for ch, count in re.findall(r"(\D)([0-9]+)", text))
 
 
 def rotate_runs(runs: Sequence[tuple[str, int]], t: int) -> tuple[tuple[str, int], ...]:
     """Left-rotate the expanded string of `runs` by t, staying in run form."""
     n = sum(count for _, count in runs)
+    if n == 0:
+        return ()
     t %= n
     head: list[list] = []
     tail: list[list] = []
@@ -187,36 +185,15 @@ def rotate_runs(runs: Sequence[tuple[str, int]], t: int) -> tuple[tuple[str, int
 
 
 def _doubling_small(codes: list[int]) -> list[int]:
-    """Prefix-doubling suffix sort over integer codes; returns 0-based starts."""
-    n = len(codes)
-    order = sorted(range(n), key=codes.__getitem__)
-    rank = [0] * n
-    r = 0
-    for t, i in enumerate(order):
-        if t and codes[order[t - 1]] != codes[i]:
-            r += 1
-        rank[i] = r
-    step = 1
-    base = n + 1
-    while r + 1 < n:
-        # Missing tail ranks sort below every real rank, so a suffix that is
-        # a prefix of another comes first.
-        key = [
-            rank[i] * base + (rank[i + step] + 1 if i + step < n else 0)
-            for i in range(n)
-        ]
-        order.sort(key=key.__getitem__)
-        prev = key[order[0]]
-        r = 0
-        rank[order[0]] = 0
-        for i in order[1:]:
-            ki = key[i]
-            if ki != prev:
-                r += 1
-                prev = ki
-            rank[i] = r
-        step <<= 1
-    return order
+    """0-based suffix starts in order, sorted by the definition.
+
+    Python orders strings by code point with a proper prefix first: the
+    package's strict order, no sentinel.  Tests import this name as the
+    kernel's reference and replace it to show that a path sorts nothing, so
+    :func:`_suffix_order` calls it through the module global.
+    """
+    text = "".join(map(chr, codes))
+    return sorted(range(len(text)), key=lambda i: text[i:])
 
 
 def _int64_width(base: int) -> int:

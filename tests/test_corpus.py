@@ -289,6 +289,8 @@ MANIFEST_DEFECTS = [
     (2, "id", "../binary3-n64"),
     (2, "case", "ternary"),
     (2, "bwt", "a64"),
+    (2, "bwt", "b\u0667a57"),  # ARABIC-INDIC DIGIT SEVEN is not an ASCII count
+    (2, "bwt", "b7a5\u0667"),
 ]
 
 

@@ -95,6 +95,28 @@ def test_suffix_array_agrees_on_both_sides_of_the_numpy_threshold(offset):
         assert suffix_array(text).sa == naive_sa(text), text
 
 
+def test_numpy_kernel_agrees_at_every_short_length(monkeypatch):
+    # Below the threshold suffix_array sorts by the definition; lowering it
+    # sends every length through the kernel and its sentinel.
+    from math import gcd
+
+    import apsa.textindex
+
+    monkeypatch.setattr(apsa.textindex, "_NUMPY_THRESHOLD", 1)
+    rnd = random.Random(300)
+    for n in range(1, 301):
+        k = rnd.choice([k for k in range(1, n) if gcd(k, n) == 1] or [1])
+        texts = [
+            "".join(rnd.choices("\x00abc"[: rnd.randint(2, 4)], k=n)),
+            "".join(rnd.choices("ab\x00d", k=n)),
+            (rnd.choice(["ab", "aab", "abaab", "\x00a"]) * n)[:n],
+            "a" * n,
+            synth(APPerm(n, k, rnd.randint(1, n))).text,
+        ]
+        for text in texts:
+            assert suffix_array(text).sa == naive_sa(text), text
+
+
 @pytest.mark.parametrize(
     "base, width", [(2, 63), (3, 39), (4, 31), (3_037_000_499, 2), (3_037_000_500, 1)]
 )
@@ -360,8 +382,14 @@ def test_run_helpers_round_trip():
         assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
 
 
+def test_compact_runs_refuses_a_digit_run_character():
+    # "a111" would read back as (("a", 111),).
+    with pytest.raises(ValueError):
+        compact_runs(runs_of("a1"))
+
+
 def test_rotate_runs_matches_string_rotation():
-    for chars in ("aaabbbbc", "aabbbbbb", "abc", "aaaa"):
+    for chars in ("aaabbbbc", "aabbbbbb", "abc", "aaaa", ""):
         runs = runs_of(chars)
         for t in range(len(chars) + 1):
             rotated = chars[t:] + chars[:t]
