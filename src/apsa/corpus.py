@@ -15,27 +15,20 @@ profile is :func:`apsa.textindex.bwt_runs`.  The files are:
 * manifest: UTF-8 lines of space-separated key=value pairs, one entry per
   line after a format_version header.
 
-Both closed forms give any slice of an entry without the rest, so generation
-and verification work in chunks of 2**20 positions on a pool of worker
-threads, and memory is O(threads x chunk) rather than O(n).  Generation maps
-the chunks of all entries on the pool at once; verification checks one file
-at a time, each file's chunks on the pool.  Generation removes an old
-manifest, overwrites each file in place at its final size and writes the new
-manifest last.  The process keeps one pool per worker count for later calls
-(a forked child starts afresh).  Threads: the `threads` argument, else the
-APSA_THREADS environment variable, else the CPUs in the process's affinity
-mask.  Within a chunk, the SA and the inverse suffix array behind the text
-come from :func:`apsa.core.ap_array`, which takes a modulo per entry only in
-its first block of 2**15 and its last one or two: every other block is the
-first plus one offset, less n where the sum reaches n.
+The ``bwt=`` runs and ``<id>.bwt`` files hold the SA-based BWT, the character
+cyclically preceding each sorted suffix with no sentinel, not the rotation-matrix
+BWT: for (8, 3, 4), ``babaabab``, they are ``bbbaaaab`` and ``bbababaa``, so a
+tool that computes the matrix BWT fails every binary2 entry.
 
-Verification compares each memory-mapped chunk of a candidate file with the
-same chunk of its closed form, the SA from :func:`apsa.core.ap_array` or the
-expanded BWT runs, and reports the first differing offset; it refuses the
-(n, k, p1) that generation refuses.  Reading a manifest checks every entry
-against its (n, k, p1): file names must stay inside the corpus directory, the
-case tag and BWT runs must be the predicted ones, and no key may repeat or
-fall outside the eight that generation writes.
+Generation and verification run in chunks on :mod:`apsa._chunked` with
+:func:`thread_count` workers.  Verification compares each memory-mapped chunk
+of a candidate file with the same chunk of its closed form, the SA from
+:func:`apsa.core.ap_array` or the expanded BWT runs, one file at a time, and
+reports the first differing offset; it stops at the first failing chunk and
+refuses the (n, k, p1) that generation refuses.  Reading a manifest checks
+every entry against its (n, k, p1): file names must stay inside the corpus
+directory, the case tag and BWT runs must be the predicted ones, and no key
+may repeat or fall outside the eight that generation writes.
 """
 
 from __future__ import annotations
@@ -45,12 +38,12 @@ import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from math import gcd
 from typing import Iterable, Optional
 
 import numpy as np
 
+from ._chunked import run_until, spans
 from .core import APPerm, _check_int64, ap_array, ap_inverse
 from .errors import CorpusFormatError
 from .synthesis import SynthCase, _canonical_boundaries, _text_codes, classify
@@ -273,26 +266,6 @@ def read_manifest(path: str) -> CorpusManifest:
     return CorpusManifest(version, entries)
 
 
-def _chunks(n: int) -> list[tuple[int, int]]:
-    """The [start, stop) ranges of n entries, _CHUNK_ENTRIES at a time."""
-    return [(a, min(a + _CHUNK_ENTRIES, n)) for a in range(0, n, _CHUNK_ENTRIES)]
-
-
-@lru_cache(maxsize=None)
-def _pool(workers: int) -> ThreadPoolExecutor:
-    """The process's pool of `workers` threads (started as tasks need them), kept for reuse."""
-    return ThreadPoolExecutor(max_workers=workers)
-
-
-# A forked child has none of the parent's worker threads: a kept pool would wait forever.
-os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
-def _run(fn, tasks: list[tuple], threads: int) -> list:
-    """fn(*task) for every task on the pool of `threads` workers, results in task order."""
-    return list(_pool(threads).map(lambda task: fn(*task), tasks))
-
-
 def _write_chunk(out_dir: str, entry: CorpusEntry, start: int, stop: int) -> None:
     """Write entries [start, stop) of one corpus entry's text and SA files in place."""
     for name, data, offset in (
@@ -313,8 +286,7 @@ def generate_corpus(
 ) -> CorpusManifest:
     """Write one entry per (size, case) pair plus a manifest; fully deterministic.
 
-    Every entry is written in chunks of _CHUNK_ENTRIES positions, all chunks
-    of all entries on one thread pool, so memory stays O(threads x chunk).
+    All chunks of all entries, _CHUNK_ENTRIES positions each, go in one pass.
     Once every parameter is accepted the old manifest goes, each text and SA
     file is sized to its final length and overwritten in place, and the new
     manifest comes last: no manifest outlives files a failed call rewrote.
@@ -347,8 +319,8 @@ def generate_corpus(
         for name, size in ((entry.text_name, entry.n), (entry.sa_name, 8 * entry.n)):
             with open(os.path.join(out_dir, name), "ab") as fh:  # keeps the cached pages
                 fh.truncate(size)
-    tasks = [(out_dir, e, a, b) for e in entries for a, b in _chunks(e.n)]
-    _run(_write_chunk, tasks, threads)
+    tasks = [(out_dir, e, a, b) for e in entries for a, b in spans(0, e.n, _CHUNK_ENTRIES)]
+    run_until(_write_chunk, tasks, threads, ThreadPoolExecutor)
     manifest = CorpusManifest(FORMAT_VERSION, entries)
     write_manifest(manifest, os.path.join(out_dir, MANIFEST_NAME))
     return manifest
@@ -358,7 +330,7 @@ def _first_diff(path: str, n: int, expected, threads: int) -> Optional[int]:
     """1-based offset of the first of the file's n entries unequal to expected, or None.
 
     expected(start, stop) is entries [start, stop) of the closed form.  Each _CHUNK_ENTRIES
-    chunk of the file is memory-mapped with its dtype, little-endian, and compared on the pool.
+    chunk is memory-mapped with its dtype, little-endian; the first failing chunk ends the pass.
     """
 
     def chunk(start: int, stop: int) -> Optional[int]:
@@ -367,7 +339,7 @@ def _first_diff(path: str, n: int, expected, threads: int) -> Optional[int]:
         bad = np.memmap(path, dtype, "r", want.itemsize * start, (stop - start,)) != want
         return start + int(bad.argmax()) + 1 if bad.any() else None
 
-    return next(filter(None, _run(chunk, _chunks(n), threads)), None)
+    return run_until(chunk, spans(0, n, _CHUNK_ENTRIES), threads, ThreadPoolExecutor)
 
 
 def _require_size(path: str, size: int, what: str) -> None:

@@ -33,14 +33,14 @@ Whether a text has a progressed suffix array needs no sort.  The
 progression P = (n, k, p1) is the suffix array of T exactly when
 T[a] <= T[a + k mod n] for every entry a of P but the last, strictly where a
 is a required split value (:func:`apsa.synthesis.required_splits` says why).
-:func:`progression_holds` reads this in text order, so each 2^20-position
-chunk compares two contiguous slices.  :func:`progression_of` finds the
-only candidate from letter counts: the last suffix ranks
-1 + #{j : T[j] < T[n]}, the one before it also counts the suffixes that
-start with T[n - 1] and continue below T[n], and the two ranks differ by
-k^{-1}.  Once P is known, the smallest period is read off the closed-form
-LCPs of adjacent suffixes at the ranks below the text's, from P and the
-letter counts alone (:func:`_smallest_period`).  :func:`bwt_from_sa`
+:func:`progression_holds` reads this in text order, in the chunks of
+:mod:`apsa._chunked`, so each chunk compares two contiguous slices.
+:func:`progression_of` finds the only candidate from letter counts: the last
+suffix ranks 1 + #{j : T[j] < T[n]}, the one before it also counts the
+suffixes that start with T[n - 1] and continue below T[n], and the two ranks
+differ by k^{-1}.  Once P is known, the smallest period is read off the
+closed-form LCPs of adjacent suffixes at the ranks below the text's, from P
+and the letter counts alone (:func:`_smallest_period`).  :func:`bwt_from_sa`
 certifies first and sorts only a text that is not progressed;
 :func:`suffix_array` always sorts, as the reference the certificate is
 tested against.
@@ -57,6 +57,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._chunked import run_until, spans
 from .core import APPerm, _entry, _permutation, ap_array, ap_inverse, canonical_residue
 from .errors import UnsupportedCaseError
 from .synthesis import (
@@ -287,15 +288,15 @@ def progression_holds(codes: np.ndarray, perm: APPerm) -> bool:
         if not (codes[..., v - 1] < codes[..., (v - 1 + k) % n]).all():
             return False
     exempt = perm.last - 1
-    for lo, hi, shift in ((0, n - k, k), (n - k, n, k - n)):
-        for start in range(lo, hi, _CHUNK):
-            stop = min(start + _CHUNK, hi)
-            ok = codes[..., start:stop] <= codes[..., start + shift : stop + shift]
-            if start <= exempt < stop:
-                ok[..., exempt - start] = True
-            if not ok.all():
-                return False
-    return True
+
+    def falls(start: int, stop: int) -> bool:
+        shift = k if start < n - k else k - n
+        ok = codes[..., start:stop] <= codes[..., start + shift : stop + shift]
+        if start <= exempt < stop:
+            ok[..., exempt - start] = True
+        return not ok.all()
+
+    return not run_until(falls, spans(0, n - k, _CHUNK) + spans(n - k, n, _CHUNK))
 
 
 def progression_of(text: str) -> Optional[APPerm]:

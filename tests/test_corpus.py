@@ -690,3 +690,58 @@ def test_verify_reports_the_first_difference_from_the_closed_form(
             expected = int(diff[0]) + 1 if diff.size else None
             res = verify_bwt_file(bwt_path, runs, threads)
             assert (res.ok, res.first_bad) == (expected is None, expected), (perm, bwt)
+
+
+def test_verify_stops_at_the_first_failing_chunk(tmp_path, monkeypatch):
+    import apsa.corpus as corpus
+
+    monkeypatch.setattr(corpus, "_CHUNK_ENTRIES", 7)
+    perm = APPerm(64, 5, 3)  # ten chunks
+    sa = entry_sa_array(perm)
+    sa[16] = sa[16] % perm.n + 1  # offset 17, in chunk 2 (entries 15-21)
+    path = tmp_path / "cand.sa"
+    sa.tofile(path)
+    calls = []
+    real = corpus.ap_array
+
+    def counted(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(corpus, "ap_array", counted)
+    res = verify_sa_file(path, perm.n, perm.k, perm.p1, threads=1)
+    assert (res.ok, res.first_bad) == (False, 17)
+    assert len(calls) <= 3, calls
+
+
+def test_verify_returns_after_every_chunk_it_started(tmp_path, monkeypatch):
+    # A chunk still comparing its memory map after verify returned would read
+    # a file the caller may truncate next, and a read past the end is SIGBUS.
+    import threading
+
+    import apsa.corpus as corpus
+
+    monkeypatch.setattr(corpus, "_CHUNK_ENTRIES", 7)
+    perm = APPerm(64, 5, 3)
+    sa = entry_sa_array(perm)
+    sa[0] = sa[0] % perm.n + 1
+    path = tmp_path / "cand.sa"
+    sa.tofile(path)
+    running, lock = set(), threading.Lock()
+    real = corpus.ap_array
+
+    def slow(perm, start, stop):
+        with lock:
+            running.add(start)
+        if start:
+            time.sleep(0.05)
+        try:
+            return real(perm, start, stop)
+        finally:
+            with lock:
+                running.discard(start)
+
+    monkeypatch.setattr(corpus, "ap_array", slow)
+    res = verify_sa_file(path, perm.n, perm.k, perm.p1, threads=4)
+    with lock:
+        assert (res.first_bad, running) == (1, set())

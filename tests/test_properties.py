@@ -1,9 +1,9 @@
 """Property tests: every closed-form builder against the suffix-array oracle,
 and every numpy oracle against its pure-Python or brute-force counterpart.
 
-Progressions go up to n = 3000, so both oracle paths (pure Python below
-textindex._NUMPY_THRESHOLD, numpy from there on) are exercised.  Examples
-are derandomized so the suite stays deterministic.
+Progressions go up to n = 3000, so both oracle paths (a sort by the suffix
+definition below textindex._NUMPY_THRESHOLD, the numpy kernel from there on)
+are exercised.  Examples are derandomized so the suite stays deterministic.
 """
 
 import random

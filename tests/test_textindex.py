@@ -55,6 +55,18 @@ def test_suffix_array_cross_check_exhaustive():
             assert suffix_array(text).sa == naive_sa(text), text
 
 
+def test_numpy_kernel_cross_check_exhaustive(monkeypatch):
+    # Every text of length 1-9 over U+0000 and two letters, sorted by the
+    # kernel and its sentinel, against the suffix definition.
+    import apsa.textindex
+
+    monkeypatch.setattr(apsa.textindex, "_NUMPY_THRESHOLD", 1)
+    for length in range(1, 10):
+        for tup in product("\x00ab", repeat=length):
+            text = "".join(tup)
+            assert suffix_array(text).sa == naive_sa(text), text
+
+
 def test_suffix_array_numpy_path_agrees():
     # Long texts take the vectorized route; check it against the small one.
     from apsa.textindex import _doubling_small
