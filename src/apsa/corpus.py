@@ -20,9 +20,10 @@ cyclically preceding each sorted suffix with no sentinel, not the rotation-matri
 BWT: for (8, 3, 4), ``babaabab``, they are ``bbbaaaab`` and ``bbababaa``, so a
 tool that computes the matrix BWT fails every binary2 entry.
 
-Generation and verification run in chunks on :mod:`apsa._chunked` with
-:func:`thread_count` workers.  Verification compares each memory-mapped chunk
-of a candidate file with the same chunk of its closed form, the SA from
+A corpus file is its bytes per position and the closed-form chunk for
+positions [start, stop).  Generation and verification run in such chunks on
+:mod:`apsa._chunked` with :func:`thread_count` workers.  Verification checks a
+candidate's size, compares each memory-mapped chunk with the SA from
 :func:`apsa.core.ap_array` or the expanded BWT runs, one file at a time, and
 reports the first differing offset; it stops at the first failing chunk and
 refuses the (n, k, p1) that generation refuses.  Reading a manifest checks
@@ -233,17 +234,15 @@ def read_manifest(path: str) -> CorpusManifest:
             line = raw.strip()
             if not line:
                 continue
-            fields = {}
-            for token in line.split():
-                key, sep, value = token.partition("=")
-                if not sep:
-                    raise CorpusFormatError(
-                        f"{path}:{line_no}: token {token!r} is not key=value"
-                    )
-                if key in fields:
-                    raise CorpusFormatError(f"{path}:{line_no}: key {key!r} repeated")
-                fields[key] = value
             try:
+                fields = {}
+                for token in line.split():
+                    key, sep, value = token.partition("=")
+                    if not sep:
+                        raise ValueError(f"token {token!r} is not key=value")
+                    if key in fields:
+                        raise ValueError(f"key {key!r} repeated")
+                    fields[key] = value
                 if version is None:
                     if set(fields) != {"format_version"}:
                         raise ValueError("missing format_version header")
@@ -266,15 +265,17 @@ def read_manifest(path: str) -> CorpusManifest:
     return CorpusManifest(version, entries)
 
 
+def _entry_files(entry: CorpusEntry) -> tuple:
+    """Each file of an entry: (name, bytes per position, builder), the builders read at call time."""
+    return ((entry.text_name, 1, entry_text_bytes), (entry.sa_name, 8, entry_sa_array))
+
+
 def _write_chunk(out_dir: str, entry: CorpusEntry, start: int, stop: int) -> None:
-    """Write entries [start, stop) of one corpus entry's text and SA files in place."""
-    for name, data, offset in (
-        (entry.text_name, entry_text_bytes(entry.perm, start, stop), start),
-        (entry.sa_name, entry_sa_array(entry.perm, start, stop), 8 * start),
-    ):
+    """Write positions [start, stop) of each of one corpus entry's files in place."""
+    for name, width, build in _entry_files(entry):
         with open(os.path.join(out_dir, name), "r+b") as fh:
-            fh.seek(offset)
-            fh.write(data)
+            fh.seek(width * start)
+            fh.write(build(entry.perm, start, stop))
 
 
 def generate_corpus(
@@ -316,9 +317,9 @@ def generate_corpus(
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(out_dir, MANIFEST_NAME))
     for entry in entries:
-        for name, size in ((entry.text_name, entry.n), (entry.sa_name, 8 * entry.n)):
+        for name, width, _ in _entry_files(entry):
             with open(os.path.join(out_dir, name), "ab") as fh:  # keeps the cached pages
-                fh.truncate(size)
+                fh.truncate(width * entry.n)
     tasks = [(out_dir, e, a, b) for e in entries for a, b in spans(0, e.n, _CHUNK_ENTRIES)]
     run_until(_write_chunk, tasks, threads, ThreadPoolExecutor)
     manifest = CorpusManifest(FORMAT_VERSION, entries)
@@ -326,26 +327,24 @@ def generate_corpus(
     return manifest
 
 
-def _first_diff(path: str, n: int, expected, threads: int) -> Optional[int]:
-    """1-based offset of the first of the file's n entries unequal to expected, or None.
+def _check_file(path: str, check: str, n: int, width: int, expected, threads: int) -> CheckResult:
+    """Check that a file holds n values of `width` bytes each, expected(start, stop) for [start, stop).
 
-    expected(start, stop) is entries [start, stop) of the closed form.  Each _CHUNK_ENTRIES
-    chunk is memory-mapped with its dtype, little-endian; the first failing chunk ends the pass.
+    After the size, each _CHUNK_ENTRIES chunk is memory-mapped with expected's dtype, little-endian;
+    the first failing chunk ends the pass and gives the 1-based offset of its first bad value.
     """
+    found = os.path.getsize(path)
+    if found != width * n:
+        of_n = f" for n={n}" if width > 1 else ""  # one byte per value: the size is n
+        raise CorpusFormatError(f"{path}: expected {width * n} bytes{of_n}, found {found}")
 
     def chunk(start: int, stop: int) -> Optional[int]:
         want = expected(start, stop)
-        dtype = want.dtype.newbyteorder("<")
-        bad = np.memmap(path, dtype, "r", want.itemsize * start, (stop - start,)) != want
+        bad = np.memmap(path, want.dtype.newbyteorder("<"), "r", width * start, (stop - start,)) != want
         return start + int(bad.argmax()) + 1 if bad.any() else None
 
-    return run_until(chunk, spans(0, n, _CHUNK_ENTRIES), threads, ThreadPoolExecutor)
-
-
-def _require_size(path: str, size: int, what: str) -> None:
-    found = os.path.getsize(path)
-    if found != size:
-        raise CorpusFormatError(f"{path}: expected {size} bytes{what}, found {found}")
+    first = run_until(chunk, spans(0, n, _CHUNK_ENTRIES), threads, ThreadPoolExecutor)
+    return CheckResult("", check, first is None, first)
 
 
 def verify_sa_file(
@@ -353,15 +352,13 @@ def verify_sa_file(
 ) -> CheckResult:
     """Streaming check that the file holds exactly the declared progression.
 
-    Parameters that generation refuses (not a progression, or past int64)
-    raise ValueError before the file is opened.  Each chunk of the file is
-    compared with the same entries of :func:`apsa.core.ap_array`, less 1 for
-    a 0-based candidate; the first differing 1-based index is reported.
+    Parameters that generation refuses (not a progression, or past int64) raise ValueError
+    before the file is opened.  Each chunk is compared with the same entries of
+    :func:`apsa.core.ap_array`, less 1 for a 0-based candidate; the first bad 1-based index is reported.
     """
     threads = thread_count(threads)
     perm = APPerm(n, k, p1)
     _check_int64(perm)
-    _require_size(path, 8 * n, f" for n={n}")
 
     def expected(start: int, stop: int) -> np.ndarray:
         values = ap_array(perm, start, stop).view(np.uint64)
@@ -369,8 +366,7 @@ def verify_sa_file(
             values -= 1
         return values
 
-    first = _first_diff(path, n, expected, threads)
-    return CheckResult("", "sa", first is None, first)
+    return _check_file(path, "sa", n, 8, expected, threads)
 
 
 def verify_bwt_file(
@@ -379,15 +375,11 @@ def verify_bwt_file(
     """Streaming comparison of a candidate BWT against the predicted profile."""
     threads = thread_count(threads)
     runs = tuple(runs)
-    counts = [count for _, count in runs]
-    n = sum(counts)
-    _require_size(path, n, "")
     chars = np.frombuffer("".join(ch for ch, _ in runs).encode("ascii"), dtype=np.uint8)
-    edges = np.cumsum([0, *counts])  # run j holds chars[j] over [edges[j], edges[j + 1])
-    first = _first_diff(
-        path, n, lambda start, stop: np.repeat(chars, np.diff(np.clip(edges, start, stop))), threads
+    edges = np.cumsum([0, *(count for _, count in runs)])  # run j is chars[j] on [edges[j], edges[j + 1])
+    return _check_file(
+        path, "bwt", int(edges[-1]), 1, lambda a, b: np.repeat(chars, np.diff(np.clip(edges, a, b))), threads
     )
-    return CheckResult("", "bwt", first is None, first)
 
 
 def verify_corpus(

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import pairwise
+from itertools import groupby, pairwise
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -159,30 +159,19 @@ def parse_compact_runs(text: str) -> tuple[tuple[str, int], ...]:
 
 
 def rotate_runs(runs: Sequence[tuple[str, int]], t: int) -> tuple[tuple[str, int], ...]:
-    """Left-rotate the expanded string of `runs` by t, staying in run form."""
+    """Left-rotate the expanded string of `runs` by t, staying in run form; empty runs go."""
     n = sum(count for _, count in runs)
     if n == 0:
         return ()
     t %= n
-    head: list[list] = []
-    tail: list[list] = []
-    pos = 0
-    for ch, count in runs:
-        if pos + count <= t:
-            head.append([ch, count])
-        elif pos >= t:
-            tail.append([ch, count])
-        else:
-            head.append([ch, t - pos])
-            tail.append([ch, pos + count - t])
+    pos, tail, head = 0, [], []
+    for ch, count in runs:  # the first t characters move to the end
+        cut = min(max(t - pos, 0), count)
+        tail.append((ch, count - cut))
+        head.append((ch, cut))
         pos += count
-    merged: list[list] = []
-    for ch, count in tail + head:
-        if merged and merged[-1][0] == ch:
-            merged[-1][1] += count
-        else:
-            merged.append([ch, count])
-    return tuple((ch, count) for ch, count in merged)
+    pieces = groupby((piece for piece in tail + head if piece[1]), key=lambda piece: piece[0])
+    return tuple((ch, sum(count for _, count in group)) for ch, group in pieces)
 
 
 def _doubling_small(codes: list[int]) -> list[int]:

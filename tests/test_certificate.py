@@ -236,3 +236,21 @@ def test_every_required_split_needs_a_rise(monkeypatch):
     monkeypatch.setattr(apsa.textindex, "_CHUNK", 3)
     for perm, flat in misses:
         assert not progression_holds(flat, perm), perm
+
+
+def test_certificate_cuts_its_pass_at_the_patched_chunk(monkeypatch):
+    # progression_holds reads textindex._CHUNK at call time: chunks of three
+    # positions cut [0, n - k) and [n - k, n) into ceil((n - k)/3) + ceil(k/3) tasks.
+    perm = APPerm(20, 7, 5)
+    codes = _codes_of(synth(perm).text)
+    seen = []
+    real = apsa.textindex.run_until
+
+    def counted(fn, tasks, *args):
+        seen.append(list(tasks))
+        return real(fn, seen[-1], *args)
+
+    monkeypatch.setattr(apsa.textindex, "_CHUNK", 3)
+    monkeypatch.setattr(apsa.textindex, "run_until", counted)
+    assert progression_holds(codes, perm)
+    assert [len(tasks) for tasks in seen] == [-(-13 // 3) + -(-7 // 3)]

@@ -267,6 +267,23 @@ def test_corpus_verify_missing_file(tmp_path, capsys):
     assert code == 3
 
 
+def test_corpus_verify_size_errors_name_the_expected_size(tmp_path, capsys):
+    out_dir = tmp_path / "corpus"
+    run(capsys, "corpus", "gen", "--out", str(out_dir), "--sizes", "50",
+        "--cases", "binary3", "--seed", "4")
+    manifest = str(out_dir / "manifest.txt")
+    sa = tmp_path / "short.sa"
+    sa.write_bytes((out_dir / "binary3-n50.sa").read_bytes()[:-8])
+    bwt = tmp_path / "short.bwt"
+    bwt.write_bytes(b"a" * 49)
+    for flag, path, message in (
+        ("--sa", sa, "expected 400 bytes for n=50, found 392"),
+        ("--bwt", bwt, "expected 50 bytes, found 49"),
+    ):
+        code, out, err = run(capsys, "corpus", "verify", manifest, "--id", "binary3-n50", flag, str(path))
+        assert (code, out, err) == (3, "", f"format error: {path}: {message}\n")
+
+
 def test_corpus_verify_reads_files_from_dir(tmp_path, capsys):
     out_dir = tmp_path / "corpus"
     run(capsys, "corpus", "gen", "--out", str(out_dir), "--sizes", "8,64",

@@ -745,3 +745,54 @@ def test_verify_returns_after_every_chunk_it_started(tmp_path, monkeypatch):
     res = verify_sa_file(path, perm.n, perm.k, perm.p1, threads=4)
     with lock:
         assert (res.first_bad, running) == (1, set())
+
+
+def test_chunk_pool_comes_from_the_corpus_executor_name(tmp_path, monkeypatch):
+    # Generation and verification take their pool class from corpus.ThreadPoolExecutor
+    # at call time: a counting subclass there is built at two threads, never at one.
+    from concurrent.futures import ThreadPoolExecutor
+
+    import apsa._chunked as chunked
+    import apsa.corpus as corpus
+
+    built = []
+
+    class Counting(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(corpus, "ThreadPoolExecutor", Counting)
+    try:
+        for threads in (1, 2):
+            chunked._pool.cache_clear()
+            out = tmp_path / f"t{threads}"
+            (entry,) = generate_corpus(out, [50], ["ternary"], 1, threads=threads).entries
+            after_gen = len(built)
+            chunked._pool.cache_clear()
+            res = verify_sa_file(out / entry.sa_name, entry.n, entry.k, entry.p1, threads=threads)
+            assert res.ok
+            assert (after_gen, len(built)) == ((0, 0) if threads == 1 else (1, 2))
+    finally:
+        for pool in built:
+            pool.shutdown()
+        chunked._pool.cache_clear()
+
+
+def test_verify_calls_no_generation_builder(tmp_path, monkeypatch):
+    # Verification compares with the closed forms themselves; a call of a
+    # generation builder would count as bytes written in a traced run.
+    import apsa.corpus as corpus
+
+    generate_corpus(tmp_path, [50], list(CASES), 2)
+    for entry in read_manifest(tmp_path / "manifest.txt").entries:
+        text = (tmp_path / entry.text_name).read_text()
+        (tmp_path / f"{entry.id}.bwt").write_text(bwt_from_sa(text).chars)
+
+    def refuse(*args):
+        raise AssertionError("generation builder called")
+
+    monkeypatch.setattr(corpus, "entry_sa_array", refuse)
+    monkeypatch.setattr(corpus, "entry_text_bytes", refuse)
+    results = verify_corpus(tmp_path / "manifest.txt", threads=1)
+    assert [(r.check, r.ok) for r in results] == [("sa", True), ("bwt", True)] * len(CASES)
