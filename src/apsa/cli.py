@@ -2,11 +2,13 @@
 
 Subcommands: synth, classify, christoffel, fib, enumerate, corpus gen,
 corpus verify.  Output is machine readable: space-separated key=value pairs,
-one record per line.  Exit codes: 0 success, 1 verification failure,
-2 invalid parameters, 3 I/O or file-format error.  `christoffel`,
-`enumerate`, `fib` and `synth` exit 2 before doing any work when their
-record would exceed MAX_RECORD_CHARS characters (`synth` reports an int64
-overflow first).  `enumerate` streams its record.
+one record per line; a field that does not apply is left out, never printed
+empty, booleans are true or false, and each value is written on its own, so
+a long text is never copied into a joined record.  Exit codes: 0 success,
+1 verification failure, 2 invalid parameters, 3 I/O or file-format error.
+`christoffel`, `enumerate`, `fib` and `synth` exit 2 before doing any work
+when their record would exceed MAX_RECORD_CHARS characters (`synth` reports
+an int64 overflow first).  `enumerate` streams its record.
 """
 
 from __future__ import annotations
@@ -37,6 +39,18 @@ __all__ = ["main", "MAX_RECORD_CHARS"]
 MAX_RECORD_CHARS = 1 << 30
 
 
+def _write_record(**fields) -> None:
+    """Print one record: the fields that are not None, in argument order, bools as true/false."""
+    # A value is its own write, so a long text is never copied; stdout may be swapped per call.
+    sep = ""
+    for key, value in fields.items():
+        if value is not None:
+            sys.stdout.write(f"{sep}{key}=")
+            sys.stdout.write(("true" if value else "false") if isinstance(value, bool) else str(value))
+            sep = " "
+    sys.stdout.write("\n")
+
+
 def _perm_from_args(args) -> APPerm:
     return APPerm(args.n, args.k, args.p1)
 
@@ -49,61 +63,39 @@ def _cmd_synth(args) -> int:
     sigma = args.sigma if args.sigma is not None else classify(perm)[1]
     values = [int(v) for v in args.splits.split(",")] if args.splits else []
     result = synth_general(perm, sigma, values)
-    parts = [f"case={result.case.value}"]
-    if result.s is not None:
-        parts.append(f"s={result.s}")
-    parts.append(f"p_s={result.p_s}")
-    if result.predicted_period is not None:
-        parts.append(f"period={result.predicted_period}")
-    parts.append(f"bwt={compact_runs(bwt_runs(perm, result.split.boundaries))}")
-    # Written field by field, so the text is never copied into a joined record.
-    print("text=", result.text, sep="", end=" ")
-    print(*parts)
+    _write_record(
+        text=result.text, case=result.case.value, s=result.s, p_s=result.p_s,
+        period=result.predicted_period, bwt=compact_runs(bwt_runs(perm, result.split.boundaries)),
+    )
     return 0
 
 
 def _cmd_classify(args) -> int:
     text = args.text
     if not text:
-        print("error: empty text", file=sys.stderr)
-        return 2
+        raise ValueError("empty text")
     perm = progression_of(text)
     if perm is None:
-        print("ap=false")
+        _write_record(ap=False)
         return 0
-    parts = [
-        "ap=true",
-        f"n={perm.n}",
-        f"k={perm.k}",
-        f"p1={perm.p1}",
-        f"case={classify(perm)[0].value}",
-    ]
-    period = _smallest_period(text, perm)
-    if period is not None:
-        parts.append(f"period={period}")
     # A word is Lyndon exactly when its suffix array starts with 1.
-    parts.append(f"lyndon={'true' if perm.p1 == 1 else 'false'}")
-    if text.count("a") + text.count("b") == len(text):
-        parts.append(f"balanced={'true' if balanced_via_slope(text) else 'false'}")
-    print(" ".join(parts))
+    _write_record(
+        ap=True, n=perm.n, k=perm.k, p1=perm.p1, case=classify(perm)[0].value,
+        period=_smallest_period(text, perm), lyndon=perm.p1 == 1,
+        balanced=balanced_via_slope(text) if text.count("a") + text.count("b") == len(text) else None,
+    )
     return 0
 
 
 def _cmd_christoffel(args) -> int:
     _check_record_size(args.p + args.q)
     word = christoffel_word(args.p, args.q)
-    parts = [f"n={len(word)}"]
+    shape = {}
     if args.p >= 1 and args.q >= 1:
         perm = christoffel_sa_params(args.p, args.q)
-        parts += [
-            f"k={perm.k}",
-            f"p1={perm.p1}",
-            f"s={args.p}",
-            f"bwt={compact_runs(corpus_mod.predicted_bwt_runs(perm))}",
-            f"fact_index={factorization_index(args.p, args.q)}",
-        ]
-    print("word=", word, sep="", end=" ")
-    print(*parts)
+        bwt = compact_runs(corpus_mod.predicted_bwt_runs(perm))
+        shape = dict(k=perm.k, p1=perm.p1, s=args.p, bwt=bwt, fact_index=factorization_index(args.p, args.q))
+    _write_record(word=word, n=len(word), **shape)
     return 0
 
 
@@ -120,18 +112,11 @@ def _cmd_fib(args) -> int:
     f = fibonacci_lengths(min(max(args.m, 2), 100))
     _check_record_size(f[-1] * (1 + args.m % 2))  # odd m also prints the swapped word
     fw = fibonacci_word(args.m)
-    ratio = f[args.m - 3] if args.m >= 3 else 1
-    # Written field by field, so the record is never joined in memory.
-    out = sys.stdout
-    out.write(f"m={args.m} word=")
-    out.write(fw.word)
-    out.write(f" length={fw.length} ratio={ratio} ap_word=")
-    if args.m % 2:
-        out.write("swapped swapped=")
-        out.write(fw.word.translate(_SWAP))
-    else:
-        out.write("word")
-    out.write("\n")
+    odd = args.m % 2
+    _write_record(
+        m=args.m, word=fw.word, length=fw.length, ratio=f[args.m - 3] if args.m >= 3 else 1,
+        ap_word="swapped" if odd else "word", swapped=fw.word.translate(_SWAP) if odd else None,
+    )
     return 0
 
 
@@ -161,7 +146,7 @@ def _cmd_corpus_gen(args) -> int:
     )
     for entry in manifest.entries:
         print(corpus_mod._manifest_line(entry))
-    print(f"manifest={corpus_mod.MANIFEST_NAME} entries={len(manifest.entries)}")
+    _write_record(manifest=corpus_mod.MANIFEST_NAME, entries=len(manifest.entries))
     return 0
 
 
@@ -175,16 +160,14 @@ def _cmd_corpus_verify(args) -> int:
         sa_override=args.sa,
         bwt_override=args.bwt,
     )
-    failed = False
     for entry_id, group in groupby(results, key=attrgetter("entry_id")):
-        parts = [f"id={entry_id}"]
+        checks = {}
         for res in group:
-            parts.append(f"{res.check}={'pass' if res.ok else 'fail'}")
-            if not res.ok:
-                parts.append(f"{res.check}_offset={res.first_bad}")
-                failed = True
-        print(" ".join(parts))
-    print(f"result={'fail' if failed else 'pass'}")
+            checks[res.check] = "pass" if res.ok else "fail"
+            checks[f"{res.check}_offset"] = None if res.ok else res.first_bad
+        _write_record(id=entry_id, **checks)
+    failed = not all(res.ok for res in results)
+    _write_record(result="fail" if failed else "pass")
     return 1 if failed else 0
 
 

@@ -631,3 +631,47 @@ def test_main_runs_repeatedly_in_one_process(tmp_path, capsys, monkeypatch):
     for argv in commands[1:4]:
         run(capsys, *argv)
     assert built == []
+
+
+# Records whose optional fields no other test pins, exactly as printed.
+RECORDS = {
+    ("christoffel", "-p", "0", "-q", "1"): "word=b n=1",
+    ("christoffel", "-p", "1", "-q", "0"): "word=a n=1",
+    ("christoffel", "-p", "7", "-q", "5"): "word=aababaababab n=12 k=5 p1=1 s=7 bwt=b5a7 fact_index=5",
+    ("fib", "-m", "1"): "m=1 word=b length=1 ratio=1 ap_word=swapped swapped=a",
+    ("fib", "-m", "2"): "m=2 word=a length=1 ratio=1 ap_word=word",
+    ("fib", "-m", "7"): "m=7 word=abaababaabaab length=13 ratio=5 ap_word=swapped swapped=babbababbabba",
+    ("synth", "-n", "1", "-k", "1", "--p1", "1"): "text=a case=unary p_s=1 bwt=a1",
+    ("synth", "-n", "8", "-k", "7", "--p1", "8"): "text=aaaaaaaa case=unary p_s=1 period=1 bwt=a8",
+    ("synth", "-n", "8", "-k", "3", "--p1", "4"): "text=babaabab case=binary2 s=4 p_s=5 period=5 bwt=b3a4b1",
+    ("classify", "abab"): "ap=false",
+}
+
+
+@pytest.mark.parametrize("argv, record", RECORDS.items(), ids=[" ".join(argv) for argv in RECORDS])
+def test_record_fields_print_exactly(capsys, argv, record):
+    assert run(capsys, *argv) == (0, record + "\n", "")
+
+
+def test_classify_refuses_an_empty_text(capsys):
+    assert run(capsys, "classify", "") == (2, "", "error: empty text\n")
+
+
+def test_corpus_verify_record_with_both_checks_failing(tmp_path, capsys):
+    out_dir = tmp_path / "corpus"
+    run(capsys, "corpus", "gen", "--out", str(out_dir), "--sizes", "50",
+        "--cases", "ternary", "--seed", "2")
+    sa = np.fromfile(out_dir / "ternary-n50.sa", dtype="<u8")
+    sa[[20, 30]] = sa[[30, 20]]
+    sa.tofile(tmp_path / "bad.sa")
+    runs = fields((out_dir / "manifest.txt").read_text().splitlines()[-1])["bwt"]
+    bwt = bytearray("".join(c * n for c, n in parse_compact_runs(runs)).encode())
+    bwt[40] ^= 1
+    (tmp_path / "bad.bwt").write_bytes(bytes(bwt))
+    code, out, err = run(
+        capsys, "corpus", "verify", str(out_dir / "manifest.txt"), "--id", "ternary-n50",
+        "--sa", str(tmp_path / "bad.sa"), "--bwt", str(tmp_path / "bad.bwt"),
+    )
+    assert (code, out, err) == (
+        1, "id=ternary-n50 sa=fail sa_offset=21 bwt=fail bwt_offset=41\nresult=fail\n", ""
+    )

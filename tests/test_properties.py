@@ -3,9 +3,12 @@ and every numpy oracle against its pure-Python or brute-force counterpart.
 
 Progressions go up to n = 3000, so both oracle paths (a sort by the suffix
 definition below textindex._NUMPY_THRESHOLD, the numpy kernel from there on)
-are exercised.  Examples are derandomized so the suite stays deterministic.
+are exercised.  The CLI's records are checked against their key=value
+contract.  Examples are derandomized so the suite stays deterministic.
 """
 
+import contextlib
+import io
 import random
 from math import gcd
 
@@ -15,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apsa.christoffel import christoffel_word
+from apsa.cli import main
 from apsa.core import APPerm, ap_array, ap_detect, ap_materialize
 from apsa.corpus import entry_text_bytes, predicted_bwt_runs
 from apsa.lyndonlab import balanced2_factorization, balanced_via_bwt, is_balanced, is_balanced2
@@ -324,3 +328,41 @@ def test_one_permutation_check_behind_inverse_sa_bwt_from_sa_and_ap_detect(case)
     else:
         assert inverse_sa(inverse) == list(values)
         assert detected is None or ap_array(detected).tolist() == list(values)
+
+
+@st.composite
+def synth_argvs(draw):
+    """`apsa synth` for a progression with n <= 200, half of them with --sigma and --splits."""
+    n = draw(st.integers(1, 200))
+    k = draw(st.integers(1, max(n - 1, 1)).filter(lambda k: gcd(k, n) == 1))
+    perm = APPerm(n, k, draw(st.integers(1, n)))
+    argv = ["synth", "-n", str(n), "-k", str(k), "--p1", str(perm.p1)]
+    if draw(st.booleans()):
+        allowed = sorted(set(range(1, n + 1)) - required_splits(perm) - {perm.last})
+        free = draw(st.lists(st.sampled_from(allowed), max_size=45, unique=True)) if allowed else []
+        argv += ["--sigma", str(classify(perm)[1] + len(free) + draw(st.integers(0, 2)))]
+        argv += ["--splits", ",".join(map(str, free))] if free else []
+    return argv
+
+
+def cli_record(argv):
+    """The record `apsa argv` prints, as a dict, once it is checked as one line of key=value tokens."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    line = out.getvalue()
+    assert line.endswith("\n") and "\n" not in line[:-1], argv
+    pairs = [token.split("=", 1) for token in line[:-1].split(" ")]
+    assert all(len(pair) == 2 and pair[0].isidentifier() for pair in pairs), line
+    record = dict(pairs)
+    assert len(record) == len(pairs), line  # keys are unique
+    assert not {"", "None", "True", "False"} & set(record.values()), line
+    return record
+
+
+@bounded
+@given(synth_argvs(), st.tuples(st.integers(0, 200), st.integers(0, 200)).filter(lambda pq: gcd(*pq) == 1))
+def test_cli_records_are_key_value_lines(argv, pq):
+    text = cli_record(argv)["text"]
+    assert cli_record(["classify", text])["ap"] == "true"
+    assert cli_record(["christoffel", "-p", str(pq[0]), "-q", str(pq[1])])["n"] == str(sum(pq))
